@@ -10,7 +10,8 @@
 #include "common.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  scal::bench::reject_arguments(argc, argv);
   using namespace scal;
   using util::Table;
 

@@ -37,10 +37,10 @@
 
 namespace scal::bench {
 
-/// Parse the bench CLI (flag inventory in options.hpp).
-/// Deprecated shim: use Options::parse(argc, argv, label).telemetry.
-obs::TelemetryConfig parse_telemetry_cli(int argc, char** argv,
-                                         const std::string& default_label);
+/// For the benches that take no flags: exit(2) with a usage line when
+/// argv holds anything past the program name.  They are configured only
+/// through the environment knobs above.
+void reject_arguments(int argc, char** argv);
 
 /// The job count of this bench process: --jobs if Options::parse saw
 /// one, else SCAL_JOBS, else 1.

@@ -9,7 +9,8 @@
 
 #include "common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  scal::bench::reject_arguments(argc, argv);
   using namespace scal;
   auto procedure =
       bench::procedure_for(core::ScalingCase::case1_network_size());

@@ -13,7 +13,8 @@
 #include "rms/scenario.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  scal::bench::reject_arguments(argc, argv);
   using namespace scal;
   using util::Table;
 

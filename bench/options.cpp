@@ -74,6 +74,14 @@ workload::SourceSpec workload_source() {
   return spec;
 }
 
+void reject_arguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::cerr << argv[0] << ": unexpected argument '" << argv[1] << "'\n"
+            << "usage: " << argv[0]
+            << " (no flags; configure with the SCAL_* environment knobs)\n";
+  std::exit(2);
+}
+
 Options Options::parse(int argc, char** argv,
                        const std::string& default_label) {
   Options opts;
@@ -183,15 +191,22 @@ Options Options::parse(int argc, char** argv,
   opts.jobs = job_count();
   opts.faults = fault_plan();
   opts.workload = workload_source();
+  if (!opts.workload.is_default()) {
+    // Open the source once here, so a missing or malformed trace/SWF
+    // file is a usage error instead of an exception escaping the first
+    // simulation.
+    workload::WorkloadConfig probe;
+    probe.clusters = 1;
+    try {
+      workload::make_source(opts.workload, probe, 0, 0.0);
+    } catch (const std::exception& e) {
+      usage("workload: " + std::string(e.what()));
+    }
+  }
   opts.eval_cache_path = g_eval_cache_path_set
                              ? g_eval_cache_path
                              : util::env_or("SCAL_BENCH_EVAL_CACHE", "");
   return opts;
-}
-
-obs::TelemetryConfig parse_telemetry_cli(int argc, char** argv,
-                                         const std::string& default_label) {
-  return Options::parse(argc, argv, default_label).telemetry;
 }
 
 }  // namespace scal::bench

@@ -272,7 +272,8 @@ Sample workload_generation_warm() {
   };
   workload::ArrivalCache::instance().clear();
   for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    workload::cached_arrivals(key(s), spec, wl, 1000 + s, kHorizon);
+    workload::cached_stream(key(s), spec, wl, 1000 + s, kHorizon,
+                            /*reusable=*/true);
   }
   // Many rounds per rep: one recall is sub-microsecond, so the timed
   // body is stretched until clock jitter is negligible for the gate.
@@ -281,9 +282,7 @@ Sample workload_generation_warm() {
     std::uint64_t jobs = 0;
     for (std::uint64_t round = 0; round < kRounds; ++round) {
       for (std::uint64_t s = 0; s < kSeeds; ++s) {
-        jobs +=
-            workload::cached_arrivals(key(s), spec, wl, 1000 + s, kHorizon)
-                .jobs->size();
+        jobs += workload::ArrivalCache::instance().lookup(key(s))->size();
       }
     }
     return jobs;

@@ -33,7 +33,8 @@ void print_case_table(const char* label, const scal::core::ScalingCase& c,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scal::bench::reject_arguments(argc, argv);
   using namespace scal;
   using util::Table;
 

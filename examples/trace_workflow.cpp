@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   grid::GridConfig config;
   config.topology.nodes = 200;
   config.horizon = stats.span + 200.0;
-  config.trace_path = path;
+  config.workload_source = workload::SourceSpec::parse("trace:" + path);
 
   Table table({"policy", "arrived", "succeeded", "missed", "G", "E"});
   for (const grid::RmsKind kind :

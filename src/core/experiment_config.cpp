@@ -65,7 +65,7 @@ const std::set<std::string>& known_keys() {
       "grid.nodes", "grid.topology", "grid.cluster_size",
       "grid.estimators_per_cluster", "grid.service_rate", "grid.rms",
       "grid.seed", "grid.horizon", "grid.update_suppression",
-      "grid.trace_path", "grid.heterogeneity",
+      "grid.heterogeneity",
       "grid.control_loss_probability", "grid.job_log",
       "grid.job_log_capacity", "grid.result_mode",
       "grid.sample_interval",
@@ -116,7 +116,6 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   g.horizon = ini.get_double("grid.horizon", g.horizon);
   g.update_suppression =
       ini.get_bool("grid.update_suppression", g.update_suppression);
-  g.trace_path = ini.get_string("grid.trace_path", g.trace_path);
   g.heterogeneity = ini.get_double("grid.heterogeneity", g.heterogeneity);
   g.control_loss_probability = ini.get_double(
       "grid.control_loss_probability", g.control_loss_probability);
@@ -209,7 +208,6 @@ util::IniFile experiment_to_ini(const ExperimentConfig& config) {
   ini.set_int("grid.seed", static_cast<std::int64_t>(g.seed));
   ini.set_double("grid.horizon", g.horizon);
   ini.set_bool("grid.update_suppression", g.update_suppression);
-  if (!g.trace_path.empty()) ini.set("grid.trace_path", g.trace_path);
   ini.set_double("grid.heterogeneity", g.heterogeneity);
   ini.set_double("grid.control_loss_probability",
                  g.control_loss_probability);

@@ -82,11 +82,6 @@ void GridConfig::validate() const {
   }
   faults.validate();
   workload_source.validate();
-  if (!trace_path.empty() && !workload_source.is_default()) {
-    throw std::invalid_argument(
-        "GridConfig: trace_path and workload_source are mutually exclusive "
-        "(use workload_source kind=trace)");
-  }
 }
 
 std::size_t GridConfig::cluster_count() const {

@@ -178,8 +178,7 @@ struct GridConfig {
   /// Where arrivals come from (docs/WORKLOADS.md): the synthetic
   /// generator (default — byte-identical to the pre-source-layer
   /// seed path), a saved CSV trace, or a Standard Workload Format log,
-  /// optionally wrapped in composable load modulators.  Mutually
-  /// exclusive with the legacy trace_path shorthand below.
+  /// optionally wrapped in composable load modulators.
   workload::SourceSpec workload_source;
 
   std::uint64_t seed = 42;
@@ -215,20 +214,15 @@ struct GridConfig {
   std::size_t job_log_capacity = 0;
 
   /// How per-job results accumulate (docs/PERFORMANCE.md memory tiers).
-  /// kFull (default) keeps the exact response samples and is
-  /// byte-identical to the pre-streaming seed path.  kStreaming folds
-  /// everything online and pulls arrivals through the JobStream
-  /// interface, making per-job memory O(1): F/G/H, every counter, and
-  /// the mean response are bit-identical to kFull; only p95_response
-  /// switches to the HDR-histogram approximation.  Structural (selects
-  /// the sink and the arrival path), so it never survives a reset.
+  /// Both modes pull arrivals through the same JobStream chain.  kFull
+  /// (default) keeps the exact response samples and stores a generated
+  /// arrival stream in the ArrivalCache for later runs.  kStreaming
+  /// folds everything online and stores nothing, making per-job memory
+  /// O(1): F/G/H, every counter, and the mean response are bit-identical
+  /// to kFull; only p95_response switches to the HDR-histogram
+  /// approximation.  Structural (selects the result sink), so it never
+  /// survives a reset.
   ResultMode result_mode = ResultMode::kFull;
-
-  /// When non-empty, jobs are replayed from this trace file (see
-  /// workload::save_trace_file) instead of being generated; arrivals
-  /// past the horizon are dropped and origin clusters are remapped
-  /// modulo the cluster count.
-  std::string trace_path;
 
   /// Suppress a periodic update when the integer load is unchanged
   /// (paper: "if loading conditions ... did not change significantly from

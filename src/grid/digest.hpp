@@ -34,10 +34,10 @@ std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
                                            bool include_rates = true);
 
 /// Digest of exactly the inputs that shape the arrival stream (workload
-/// model, source spec, legacy trace path, seed, horizon, cluster
-/// count): the workload::ArrivalCache key.  Equal digests guarantee the
-/// generated job vectors are bit-identical, so memoized streams can be
-/// shared across systems, sessions, and tuner lanes.
+/// model, source spec, seed, horizon, cluster count): the
+/// workload::ArrivalCache key.  Equal digests guarantee the generated
+/// job vectors are bit-identical, so memoized streams can be shared
+/// across systems, sessions, and tuner lanes.
 std::array<std::uint64_t, 2> workload_digest(const GridConfig& config);
 
 }  // namespace scal::grid

@@ -668,13 +668,10 @@ void GridSystem::schedule_next_arrival() {
     arrival_arena_.release(slot);
     return;
   }
-  stream_stats_.add(*slot);
-  sim_.schedule_at(slot->arrival, [this, slot]() {
+  arrival_stats_.add(*slot);
+  sim_.schedule_reserved(slot->arrival, arrival_order_++, [this, slot]() {
     const workload::Job job = *slot;
     arrival_arena_.release(slot);
-    // Chain the successor before delivering, so on a shared arrival time
-    // the next job's event is enqueued ahead of anything delivery spawns
-    // — matching the materialized path's pre-scheduled order.
     schedule_next_arrival();
     deliver_arrival(job);
   });
@@ -683,48 +680,23 @@ void GridSystem::schedule_next_arrival() {
 void GridSystem::schedule_arrivals() {
   workload::WorkloadConfig wl = config_.workload;
   wl.clusters = static_cast<std::uint32_t>(cluster_count());
-  workload::SourceSpec spec = config_.workload_source;
-  if (!config_.trace_path.empty()) {
-    // Legacy shorthand: trace_path is the trace source by another name
-    // (validate() forbids setting both).
-    spec = workload::SourceSpec{};
-    spec.kind = workload::SourceKind::kTrace;
-    spec.path = config_.trace_path;
-  }
-
-  if (config_.result_mode == ResultMode::kStreaming) {
-    // Pull-based path: jobs flow one at a time through an arena slot, so
-    // peak memory is independent of the job count.  A cache hit replays
-    // the materialized vector; a miss streams live and is NOT stored
-    // (one-shot scale runs must not leave a multi-GB vector behind).
-    obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
-    workload::PulledArrivals pulled = workload::cached_stream(
-        workload_digest(config_), spec, wl, config_.seed, config_.horizon,
-        /*reusable=*/false);
-    arrival_stream_ = std::move(pulled.stream);
-    workload_from_cache_ = pulled.from_cache;
-    stream_stats_ = workload::TraceStatsAccumulator{};
-    schedule_next_arrival();
-    return;
-  }
-
-  // Materialized path: the stream depends only on the structural config
-  // (never the tuning enablers), so one generation serves every reset
-  // cycle.
-  if (!arrivals_cached_) {
-    obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
-    workload::ArrivalStream stream = workload::cached_arrivals(
-        workload_digest(config_), spec, wl, config_.seed, config_.horizon);
-    arrival_jobs_ = std::move(stream.jobs);
-    workload_from_cache_ = stream.from_cache;
-    arrivals_cached_ = true;
-  }
-  const std::vector<workload::Job>& jobs = *arrival_jobs_;
-  SCAL_INFO("grid: " << jobs.size() << " jobs over horizon "
-                     << config_.horizon);
-  for (const auto& job : jobs) {
-    sim_.schedule_at(job.arrival, [this, job]() { deliver_arrival(job); });
-  }
+  obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
+  // A cache hit replays the stored vector.  On a miss, a full-mode run
+  // materializes and stores the stream for later resets, sessions and
+  // tuner lanes; a streaming run keeps the generator live and stores
+  // nothing (one-shot scale runs must not leave a multi-GB vector
+  // behind).
+  workload::PulledArrivals pulled = workload::cached_stream(
+      workload_digest(config_), config_.workload_source, wl, config_.seed,
+      config_.horizon,
+      /*reusable=*/config_.result_mode == ResultMode::kFull);
+  arrival_stream_ = std::move(pulled.stream);
+  workload_from_cache_ = pulled.from_cache;
+  arrival_stats_ = workload::TraceStatsAccumulator{};
+  // One tie-break position per possible arrival, reserved before the
+  // run starts its entities (the block is far larger than any stream).
+  arrival_order_ = sim_.reserve_order(std::uint64_t{1} << 62);
+  schedule_next_arrival();
 }
 
 SimulationResult GridSystem::run() {
@@ -805,8 +777,6 @@ void GridSystem::reset(const GridConfig& next) {
   next.validate();
   // The fields reset re-applies: the tuning enablers plus the rates.
   const bool rate_changed = config_.service_rate != next.service_rate;
-  const bool arrivals_changed =
-      config_.workload.mean_interarrival != next.workload.mean_interarrival;
   config_.tuning = next.tuning;
   config_.service_rate = next.service_rate;
   config_.workload.mean_interarrival = next.workload.mean_interarrival;
@@ -846,10 +816,6 @@ void GridSystem::reset(const GridConfig& next) {
     mean_service_time_ =
         workload::expected_exec_time(config_.workload) / config_.service_rate;
   }
-  // A new interarrival mean invalidates the cached arrival stream; the
-  // next run regenerates it from the same "workload" substream, exactly
-  // as a fresh build would.
-  if (arrivals_changed) arrivals_cached_ = false;
   for (auto& cluster : ctrl_trees_) {
     for (auto& ct : cluster) {
       for (auto& agg : ct.aggs) agg->reset();
@@ -964,11 +930,7 @@ SimulationResult GridSystem::assemble_result() {
   // which would change the mean's summation order (and its last bits).
   r.mean_response = metrics_.response_mean();
   r.p95_response = metrics_.response_p95();
-  if (config_.result_mode == ResultMode::kStreaming) {
-    r.workload_stats = stream_stats_.stats();
-  } else if (arrival_jobs_) {
-    r.workload_stats = workload::summarize(*arrival_jobs_);
-  }
+  r.workload_stats = arrival_stats_.stats();
   r.workload_from_cache = workload_from_cache_;
   r.result_mode = config_.result_mode;
   r.job_log_records = sink_->log().size();

@@ -61,9 +61,10 @@ class GridSystem {
   bool reset_compatible(const GridConfig& next) const;
 
   /// Rewind the built system to its pre-run state under `next`'s tuning,
-  /// reusing the topology, warm routing trees, cluster layout, entity
-  /// graph, and the generated workload — the reusable-simulation-state
-  /// path the enabler tuner leans on.  Throws std::logic_error when
+  /// reusing the topology, warm routing trees, cluster layout, and
+  /// entity graph (the next run recalls its arrival stream from the
+  /// ArrivalCache) — the reusable-simulation-state path the enabler
+  /// tuner leans on.  Throws std::logic_error when
   /// !reset_compatible(next).
   void reset(const GridConfig& next);
 
@@ -153,13 +154,12 @@ class GridSystem {
   double current_overhead_work() const;
   void finish_telemetry(const SimulationResult& result);
 
-  /// Deliver one pulled/materialized arrival into the system: metrics,
-  /// optional job trace, and the CENTRAL gateway forward.  Shared by the
-  /// materialized and streaming arrival paths so both are bit-identical.
+  /// Deliver one pulled arrival into the system: metrics, optional job
+  /// trace, and the CENTRAL gateway forward.
   void deliver_arrival(const workload::Job& job);
-  /// Streaming path: schedule the next pulled arrival (chained — each
-  /// arrival event schedules its successor, so at most one job is ever
-  /// pending in the event queue).
+  /// Schedule the next pulled arrival (chained — each arrival event
+  /// schedules its successor, so at most one job is ever pending in the
+  /// event queue).
   void schedule_next_arrival();
 
   GridConfig config_;
@@ -199,21 +199,22 @@ class GridSystem {
   sim::EntityId injector_entity_id_ = 0;
   bool injector_id_assigned_ = false;
   sim::EntityId sampler_entity_id_ = 0;
-  // The arrival stream is a pure function of (config minus tuning), so
-  // it is resolved once — through the process-wide ArrivalCache — and
-  // replayed by every reset cycle (invalidated only when a rate-only
-  // reset moves the interarrival mean).  Shared and immutable: other
-  // systems replaying the same workload alias the same vector.
-  std::shared_ptr<const std::vector<workload::Job>> arrival_jobs_;
-  bool arrivals_cached_ = false;
-  bool workload_from_cache_ = false;
-  // Streaming arrival path (result_mode == kStreaming): jobs are pulled
-  // one at a time from this stream into arena slots, so per-job memory
-  // stays O(1); the accumulator folds the workload stats that the
-  // materialized path computes from the full vector.
+  // Arrivals are pulled one at a time from this stream into arena slots,
+  // in both result modes.  The stream is resolved per run through the
+  // process-wide ArrivalCache (keyed on workload_digest, so a rate-only
+  // reset finds a different entry); the accumulator folds the workload
+  // stats as jobs are pulled.
   std::unique_ptr<workload::JobStream> arrival_stream_;
   workload::JobArena arrival_arena_;
-  workload::TraceStatsAccumulator stream_stats_;
+  workload::TraceStatsAccumulator arrival_stats_;
+  bool workload_from_cache_ = false;
+  /// Tie-break position of the next arrival event.  schedule_arrivals
+  /// reserves one position per possible arrival before the run starts
+  /// its resources, schedulers, injector and sampler, so on a shared
+  /// timestamp every arrival fires ahead of the events they schedule, in
+  /// stream order — exactly as if the whole stream had been scheduled up
+  /// front.
+  std::uint64_t arrival_order_ = 0;
   /// Per-resource heterogeneity multipliers in build order, kept so a
   /// rate-only reset re-rates the pool exactly like a fresh build.
   std::vector<double> rate_multipliers_;

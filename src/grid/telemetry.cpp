@@ -60,7 +60,7 @@ void fill_manifest(obs::RunManifest& manifest, const GridConfig& config,
   manifest.G_scheduler_max_share = result.G_scheduler_max_share;
 
   // Workload block: only when a non-default source ran, keeping default
-  // (and legacy trace_path) manifests byte-identical.
+  // manifests byte-identical.
   if (!config.workload_source.is_default()) {
     manifest.workload_source = config.workload_source.summary();
     manifest.workload_jobs = result.workload_stats.jobs;

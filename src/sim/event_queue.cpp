@@ -6,7 +6,7 @@
 
 namespace scal::sim {
 
-EventId EventQueue::push(Time at, EventFn fn) {
+EventId EventQueue::push(Time at, std::uint64_t seq, EventFn fn) {
   std::uint32_t slot;
   if (free_head_ != kNoFree) {
     slot = free_head_;
@@ -18,7 +18,8 @@ EventId EventQueue::push(Time at, EventFn fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{at, pushed_++, slot});
+  heap_.push_back(HeapEntry{at, seq, slot});
+  ++pushed_;
   sift_up(heap_.size() - 1);
   return make_id(s.gen, slot);
 }
@@ -117,6 +118,7 @@ void EventQueue::clear() {
     slots_[i].heap_pos = free_head_;
     free_head_ = static_cast<std::uint32_t>(i);
   }
+  next_seq_ = 0;
   pushed_ = 0;
 }
 

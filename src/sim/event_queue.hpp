@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -35,7 +36,24 @@ using EventFn = util::InlineFn<kEventInlineCapacity>;
 class EventQueue {
  public:
   /// Insert an event; returns its id (usable with cancel()).
-  EventId push(Time at, EventFn fn);
+  EventId push(Time at, EventFn fn) {
+    return push(at, next_seq_++, std::move(fn));
+  }
+
+  /// Reserve `count` consecutive insertion sequence numbers at the
+  /// current point of the schedule order and return the first.  An event
+  /// pushed later under a reserved number breaks timestamp ties exactly
+  /// as if it had been pushed at reservation time — which lets a chained
+  /// stream keep the order of the events it would otherwise have
+  /// pre-scheduled.
+  std::uint64_t reserve(std::uint64_t count) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
+  /// Insert an event under a sequence number obtained from reserve().
+  EventId push(Time at, std::uint64_t seq, EventFn fn);
 
   /// Cancel a pending event, removing it from the heap immediately.
   /// Safe to call on ids that already fired or were already cancelled;
@@ -63,9 +81,9 @@ class EventQueue {
   /// keeping the arena allocation.  Live closures are destroyed, every
   /// generation of a previously-live slot is bumped (stale EventIds from
   /// the cleared run cannot cancel events of the next one), and the
-  /// insertion sequence restarts at zero so timestamp tie-breaking — and
-  /// therefore the next run's dispatch order — matches a freshly
-  /// constructed queue bit for bit.
+  /// insertion sequence (reservations included) restarts at zero so
+  /// timestamp tie-breaking — and therefore the next run's dispatch
+  /// order — matches a freshly constructed queue bit for bit.
   void clear();
 
   /// Arena slots currently held (live + free-listed); exposed for tests.
@@ -117,6 +135,7 @@ class EventQueue {
   std::vector<HeapEntry> heap_;  // binary min-heap by (at, seq)
   std::vector<Slot> slots_;      // pooled arena of callables
   std::uint32_t free_head_ = kNoFree;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t pushed_ = 0;
 };
 

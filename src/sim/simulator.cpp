@@ -19,6 +19,14 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
   return queue_.push(at, std::move(fn));
 }
 
+EventId Simulator::schedule_reserved(Time at, std::uint64_t order,
+                                     EventFn fn) {
+  if (at < now_ || std::isnan(at)) {
+    throw std::invalid_argument("Simulator: scheduling into the past");
+  }
+  return queue_.push(at, order, std::move(fn));
+}
+
 void Simulator::reset() {
   if (running_) throw std::logic_error("Simulator::reset during run");
   queue_.clear();

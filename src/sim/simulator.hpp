@@ -29,6 +29,17 @@ class Simulator {
   /// Schedule `fn` at absolute time `at >= now()`.
   EventId schedule_at(Time at, EventFn fn);
 
+  /// Reserve `count` tie-break positions at the current point of the
+  /// schedule order; returns the first (see EventQueue::reserve).
+  std::uint64_t reserve_order(std::uint64_t count) noexcept {
+    return queue_.reserve(count);
+  }
+
+  /// schedule_at under a position from reserve_order(): on a shared
+  /// timestamp the event fires as if it had been scheduled when the
+  /// position was reserved.
+  EventId schedule_reserved(Time at, std::uint64_t order, EventFn fn);
+
   /// Cancel a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -35,10 +35,11 @@ std::shared_ptr<const std::vector<Job>> ArrivalCache::store(
   if (inserted) {
     bytes_ += payload_bytes(*it->second);
     insertion_order_.push_back(key);
+    // Copy before enforcing the budget: a same-call eviction erases `it`,
+    // and the returned pointer must keep the payload alive even though it
+    // is not memoized.
+    auto canonical = it->second;
     enforce_budget_locked();
-    // The canonical pointer outlives a same-call eviction: the caller's
-    // shared_ptr keeps the payload alive, it just is not memoized.
-    const auto canonical = it->second;
     return canonical;
   }
   return it->second;

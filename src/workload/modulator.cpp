@@ -18,7 +18,7 @@ namespace {
 double number(const std::string& key, const std::string& text) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
     bad("'" + key + "' expects a number, got '" + text + "'");
   }
   return v;

@@ -1,6 +1,7 @@
 #include "workload/source.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -25,7 +26,7 @@ void SourceSpec::validate() const {
     throw std::invalid_argument("SourceSpec: " + to_string(kind) +
                                 " source needs a path");
   }
-  if (!(time_scale > 0.0)) {
+  if (!(time_scale > 0.0) || !std::isfinite(time_scale)) {
     throw std::invalid_argument("SourceSpec: time scale must be positive");
   }
   for (const ModulatorSpec& m : modulators) m.validate();
@@ -83,7 +84,8 @@ SourceSpec SourceSpec::parse(const std::string& text) {
       const std::string scale_text = spec.path.substr(at + 1);
       char* end = nullptr;
       const double scale = std::strtod(scale_text.c_str(), &end);
-      if (end == scale_text.c_str() || *end != '\0' || !(scale > 0.0)) {
+      if (end == scale_text.c_str() || *end != '\0' || !(scale > 0.0) ||
+          !std::isfinite(scale)) {
         throw std::invalid_argument(
             "SourceSpec: bad time scale '" + scale_text + "'");
       }
@@ -116,7 +118,8 @@ std::ifstream open_trace(const std::string& path) {
 
 TraceSource::TraceSource(const std::string& path, sim::Time horizon,
                          std::uint32_t clusters)
-    : file_(open_trace(path)),
+    : path_(path),
+      file_(open_trace(path)),
       reader_(file_),
       horizon_(horizon),
       clusters_(clusters) {
@@ -126,11 +129,17 @@ TraceSource::TraceSource(const std::string& path, sim::Time horizon,
 }
 
 bool TraceSource::produce(Job& out) {
-  // Skip-and-continue on the horizon filter: the legacy path erased
-  // every at-or-past-horizon row from the whole (possibly unsorted)
-  // file, so a later in-horizon row must still be emitted.
+  // Skip-and-continue on the horizon filter: a later in-horizon row
+  // must still be emitted.
   while (reader_.next(out)) {
     if (out.arrival >= horizon_) continue;
+    if (out.arrival < last_arrival_) {
+      throw std::runtime_error(
+          "TraceSource: " + path_ + ": job " + std::to_string(out.id) +
+          " arrives out of order (arrivals must be non-negative and "
+          "nondecreasing)");
+    }
+    last_arrival_ = out.arrival;
     out.origin_cluster =
         static_cast<std::uint32_t>(out.origin_cluster % clusters_);
     return true;
@@ -179,17 +188,6 @@ std::unique_ptr<JobStream> make_stream(const SourceSpec& spec,
                                        std::size_t max_jobs) {
   return std::make_unique<BoundedStream>(
       make_source(spec, workload, seed, horizon), horizon, max_jobs);
-}
-
-ArrivalStream cached_arrivals(const std::array<std::uint64_t, 2>& key,
-                              const SourceSpec& spec,
-                              const WorkloadConfig& workload,
-                              std::uint64_t seed, sim::Time horizon) {
-  ArrivalCache& cache = ArrivalCache::instance();
-  if (auto jobs = cache.lookup(key)) return {std::move(jobs), true};
-  auto generated = std::make_shared<const std::vector<Job>>(
-      make_source(spec, workload, seed, horizon)->generate_until(horizon));
-  return {cache.store(key, std::move(generated)), false};
 }
 
 PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,

@@ -4,7 +4,7 @@
 // synthetic generator, a saved CSV trace, or a Standard Workload Format
 // log — optionally wrapped in composable load modulators.  A SourceSpec
 // names one such stack declaratively (so configs stay hashable and
-// digest-able), and cached_arrivals() memoizes fully generated streams
+// digest-able), and cached_stream() memoizes fully generated streams
 // process-wide so structural rebuilds and session pools stop
 // regenerating identical arrivals.
 
@@ -92,12 +92,13 @@ class SyntheticSource : public WorkloadSource {
 };
 
 /// Replay of a CSV trace written by save_trace, streamed row by row —
-/// the file is never materialized.  Emission applies the legacy
-/// GridConfig::trace_path semantics exactly: rows with arrivals at or
-/// past `horizon` are skipped (not terminal — the legacy path filtered
-/// the whole, possibly unsorted, file) and origin clusters are remapped
-/// modulo `clusters`; ids, order, and every other field come straight
-/// from the file.
+/// the file is never materialized.  Rows with arrivals at or past
+/// `horizon` are skipped (not terminal, so only the in-horizon rows need
+/// to be in time order) and origin clusters are remapped modulo
+/// `clusters`; ids, order, and every other field come straight from the
+/// file.  An in-horizon row that is negative or earlier than the row
+/// before it throws std::runtime_error: arrivals are scheduled in
+/// stream order.
 class TraceSource : public WorkloadSource {
  public:
   TraceSource(const std::string& path, sim::Time horizon,
@@ -107,10 +108,12 @@ class TraceSource : public WorkloadSource {
   bool produce(Job& out) override;
 
  private:
+  std::string path_;
   std::ifstream file_;
   TraceReader reader_;
   sim::Time horizon_;
   std::uint32_t clusters_;
+  sim::Time last_arrival_ = 0.0;
 };
 
 /// One modulator layered over any source: arrivals are passed through
@@ -147,36 +150,22 @@ std::unique_ptr<JobStream> make_stream(const SourceSpec& spec,
                                        std::uint64_t seed, sim::Time horizon,
                                        std::size_t max_jobs = SIZE_MAX);
 
-/// A memoized arrival stream: the generated jobs (shared, immutable)
-/// plus whether the process-wide ArrivalCache already held them.
-struct ArrivalStream {
-  std::shared_ptr<const std::vector<Job>> jobs;
-  bool from_cache = false;
-};
-
-/// Generate-or-recall the arrival stream for (spec, workload, seed,
-/// horizon).  `key` must fingerprint every input that shapes the stream
-/// (grid::workload_digest provides exactly that); equal keys return the
-/// same shared vector without regenerating.  Thread-safe.
-ArrivalStream cached_arrivals(const std::array<std::uint64_t, 2>& key,
-                              const SourceSpec& spec,
-                              const WorkloadConfig& workload,
-                              std::uint64_t seed, sim::Time horizon);
-
-/// The pull-based face of the arrival memo: a stream handle plus cache
-/// provenance.
+/// An arrival stream handle plus its cache provenance (whether the
+/// process-wide ArrivalCache already held the jobs).
 struct PulledArrivals {
   std::unique_ptr<JobStream> stream;
   bool from_cache = false;
 };
 
-/// Stream-or-recall the arrivals for `key`.  A cache hit replays the
-/// memoized vector (free, O(1) state).  On a miss, `reusable` decides
-/// the trade: true materializes and stores the stream for later runs
-/// (the session-pool / tuner path — exactly cached_arrivals), false
-/// returns the live generator without storing anything, keeping per-job
-/// memory O(1) for one-shot runs (the store skip is counted on the
-/// cache).  Thread-safe.
+/// Stream-or-recall the arrivals for (spec, workload, seed, horizon).
+/// `key` must fingerprint every input that shapes the stream
+/// (grid::workload_digest provides exactly that).  A cache hit replays
+/// the memoized vector (free, O(1) state).  On a miss, `reusable`
+/// decides the trade: true materializes and stores the stream, so later
+/// runs with an equal key replay the same shared vector (the
+/// session-pool / tuner path); false returns the live generator without
+/// storing anything, keeping per-job memory O(1) for one-shot runs (the
+/// store skip is counted on the cache).  Thread-safe.
 PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,
                              const SourceSpec& spec,
                              const WorkloadConfig& workload,

@@ -1,6 +1,7 @@
 #include "workload/swf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -38,7 +39,7 @@ enum SwfField : std::size_t {
 double parse_field(const std::string& text, std::size_t line_no) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
     throw std::runtime_error("swf: line " + std::to_string(line_no) +
                              ": bad field '" + text + "'");
   }

@@ -1,6 +1,8 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -96,10 +98,22 @@ bool TraceReader::next(Job& out) {
       }
       return cell;
     };
+    // strtod + isfinite rather than stod: stod accepts "nan"/"inf" and
+    // throws a bare "stod" on overflow.
+    auto next_real = [&]() {
+      next_cell();
+      char* end = nullptr;
+      const double v = std::strtod(cell.c_str(), &end);
+      if (end == cell.c_str() || *end != '\0' || !std::isfinite(v)) {
+        throw std::runtime_error("load_trace: bad number '" + cell +
+                                 "' in row: " + line);
+      }
+      return v;
+    };
     j.id = std::stoull(next_cell());
-    j.arrival = std::stod(next_cell());
-    j.exec_time = std::stod(next_cell());
-    j.requested_time = std::stod(next_cell());
+    j.arrival = next_real();
+    j.exec_time = next_real();
+    j.requested_time = next_real();
     j.partition_size = static_cast<std::uint32_t>(std::stoul(next_cell()));
     j.cancellable = next_cell() == "1";
     const std::string cls = next_cell();
@@ -107,8 +121,8 @@ bool TraceReader::next(Job& out) {
       throw std::runtime_error("load_trace: bad job class: " + cls);
     }
     j.job_class = cls == "LOCAL" ? JobClass::kLocal : JobClass::kRemote;
-    j.benefit_factor = std::stod(next_cell());
-    j.benefit_deadline = std::stod(next_cell());
+    j.benefit_factor = next_real();
+    j.benefit_deadline = next_real();
     j.origin_cluster = static_cast<std::uint32_t>(std::stoul(next_cell()));
     out = j;
     return true;

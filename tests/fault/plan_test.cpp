@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "fault/plan.hpp"
@@ -109,6 +110,49 @@ TEST(FaultPlan, ParseRejectsMalformed) {
   EXPECT_THROW(FaultPlan::parse("churn:nope=1"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("churn:mtbf=abc"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse(";"), std::invalid_argument);
+}
+
+TEST(FaultPlan, ParseRejectsNonFiniteNumbers) {
+  // mtbf=nan used to pass every `x < 0` check and run with churn off;
+  // mttr=nan used to abort mid-run with "negative or NaN delay".
+  EXPECT_THROW(FaultPlan::parse("churn:mtbf=nan"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("churn:mtbf=10,mttr=nan"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("churn:mtbf=inf,mttr=10"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("net:drop=nan"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("net:delayp=0.1,delaym=1e400"),
+               std::invalid_argument);
+}
+
+TEST(FaultPlan, ValidateRejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FaultPlan plan;
+  plan.churn = ChurnSpec{nan, 10.0};
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan.churn = ChurnSpec{100.0, nan};
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+
+  plan = FaultPlan{};
+  plan.messages.drop = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+
+  plan = FaultPlan{};
+  plan.messages.delay_probability = 0.5;
+  plan.messages.delay_mean = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+
+  plan = FaultPlan{};
+  plan.scheduler_blackout.period = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+
+  plan = FaultPlan{};
+  plan.churn = ChurnSpec{100.0, 10.0};
+  plan.robustness.staleness_factor = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan.robustness.staleness_factor = 3.0;
+  plan.robustness.retry_backoff_base = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
 TEST(FaultPlan, ValidateRejectsOutOfRange) {

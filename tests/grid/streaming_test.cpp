@@ -9,14 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <iostream>
 #include <string>
 
 #include "core/procedure.hpp"
 #include "exec/thread_pool.hpp"
 #include "grid/digest.hpp"
+#include "grid/sampler.hpp"
 #include "grid/system.hpp"
 #include "rms/factory.hpp"
 #include "rms/scenario.hpp"
+#include "util/rng.hpp"
 #include "workload/arrival_cache.hpp"
 
 namespace scal {
@@ -142,6 +146,80 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, StreamingIdentityTest,
                            }
                            return name;
                          });
+
+// Tie order: an SWF log at scale 1 has integer submit times, so arrivals
+// tie with each other, with the sampler's cadence and with churn events.
+// The queue breaks timestamp ties by insertion order, so any change to
+// when arrival events are enqueued moves this FNV-1a digest of F/G/H,
+// the event count and every state sample.
+std::uint64_t tie_digest(grid::RmsKind kind, grid::ResultMode mode,
+                         std::uint64_t* arena_high_water = nullptr) {
+  grid::GridConfig config;
+  config.rms = kind;
+  config.topology.nodes = 120;
+  config.horizon = 4000.0;
+  config.seed = 11;
+  config.sample_interval = 1.0;
+  config.result_mode = mode;
+  auto system =
+      Scenario(config)
+          .workload("swf:" SCAL_SOURCE_DIR "/tests/data/sample_small.swf@1")
+          .faults("churn:mtbf=600,mttr=40")
+          .build();
+  const grid::SimulationResult r = system->run();
+  if (arena_high_water != nullptr) *arena_high_water = r.arena_high_water;
+  std::string bytes;
+  auto put = [&bytes](auto v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(r.F);
+  put(r.G());
+  put(r.H());
+  put(r.events_dispatched);
+  for (const grid::StateSample& s : system->sampler()->samples()) {
+    put(s.at);
+    put(s.pool_busy_fraction);
+    put(s.mean_resource_load);
+    put(s.max_resource_load);
+    put(s.scheduler_backlog);
+    put(s.middleware_backlog);
+    put(s.hottest_cluster_busy);
+  }
+  return util::fnv1a(bytes);
+}
+
+// Pinned per kind, in kEveryRmsKind order; both result modes must
+// reproduce them.  Refresh after an intentional change with
+//   build/tests/grid_test --gtest_filter='TieOrder.Print*'
+constexpr std::uint64_t kTieDigests[] = {
+    0xa9a1fda1bfec302dull, 0x19b27c72038c30b9ull, 0x09bad476dc07aed9ull,
+    0x2515db10a5f52e9cull, 0xa0b28379bb99554aull, 0x06aaa6157735d2c3ull,
+    0x65f907980ff77f7dull, 0x673edc62457d9e3cull, 0xb3058188fd944d11ull,
+};
+
+TEST(TieOrder, PrintCurrentDigests) {
+  for (const grid::RmsKind kind : kEveryRmsKind) {
+    std::cout << "0x" << std::hex << std::setw(16) << std::setfill('0')
+              << tie_digest(kind, grid::ResultMode::kFull) << "ull,  // "
+              << grid::to_string(kind) << std::dec << "\n";
+  }
+}
+
+TEST(TieOrder, BothResultModesMatchThePinnedDigests) {
+  for (std::size_t i = 0; i < std::size(kEveryRmsKind); ++i) {
+    const std::string kind = grid::to_string(kEveryRmsKind[i]);
+    std::uint64_t high_water = 0;
+    EXPECT_EQ(tie_digest(kEveryRmsKind[i], grid::ResultMode::kFull,
+                         &high_water),
+              kTieDigests[i])
+        << kind;
+    // Full mode pulls through the same single chained arrival slot.
+    EXPECT_EQ(high_water, 1u) << kind;
+    EXPECT_EQ(tie_digest(kEveryRmsKind[i], grid::ResultMode::kStreaming),
+              kTieDigests[i])
+        << kind;
+  }
+}
 
 TEST(StreamingJobLog, RecordsTheIdenticalLifecycleStream) {
   workload::ArrivalCache::instance().clear();

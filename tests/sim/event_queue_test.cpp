@@ -36,6 +36,21 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
+TEST(EventQueue, ReservedSequenceTiesAsIfPushedAtReservation) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.push(5.0, [&] { fired.push_back(0); });
+  const std::uint64_t first = q.reserve(2);
+  q.push(5.0, [&] { fired.push_back(3); });
+  q.push(5.0, first + 1, [&] { fired.push_back(2); });
+  q.push(5.0, first, [&] { fired.push_back(1); });
+  EXPECT_EQ(q.total_pushed(), 4u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+  q.clear();
+  EXPECT_EQ(q.reserve(1), 0u);  // clear() rewinds reservations too
+}
+
 TEST(EventQueue, NextTimeMatchesEarliest) {
   EventQueue q;
   q.push(7.0, [] {});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "workload/arrival_cache.hpp"
 #include "workload/generator.hpp"
@@ -64,6 +65,9 @@ TEST(SourceSpec, RejectsBadText) {
   EXPECT_THROW(SourceSpec::parse("trace:"), std::invalid_argument);
   EXPECT_THROW(SourceSpec::parse("swf:p@0"), std::invalid_argument);
   EXPECT_THROW(SourceSpec::parse("swf:p@nope"), std::invalid_argument);
+  EXPECT_THROW(SourceSpec::parse("swf:p@nan"), std::invalid_argument);
+  EXPECT_THROW(SourceSpec::parse("swf:p@inf"), std::invalid_argument);
+  EXPECT_THROW(SourceSpec::parse("swf:p@1e400"), std::invalid_argument);
 }
 
 TEST(SourceSpec, ValidateCatchesMissingPathAndBadScale) {
@@ -111,6 +115,13 @@ TEST(Modulators, RejectsBadGrammarAndParameters) {
   EXPECT_THROW(parse_modulators("flash:at=0,width=10,factor=0.5"),
                std::invalid_argument);
   EXPECT_THROW(parse_modulators("burst:every=0,width=10"),
+               std::invalid_argument);
+  // strtod accepts these spellings; the spec grammar must not.
+  EXPECT_THROW(parse_modulators("diurnal:amplitude=nan,period=10"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("flash:at=0,width=inf,factor=2"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("burst:every=1e400,width=10"),
                std::invalid_argument);
 }
 
@@ -230,18 +241,44 @@ TEST(MakeSource, ChainPositionsDrawFromIsolatedSubstreams) {
   }
 }
 
+TEST(TraceSource, SkipsPastHorizonRowsButRejectsOutOfOrderArrivals) {
+  auto job_at = [](double arrival) {
+    Job job;
+    job.arrival = arrival;
+    job.exec_time = 1.0;
+    return job;
+  };
+  const std::string path = ::testing::TempDir() + "/scal_trace_order.csv";
+  // Row 2 lies past the horizon and is skipped, so it may be out of
+  // order; row 4 arrives before row 3 inside the horizon.
+  save_trace_file({job_at(10.0), job_at(500.0), job_at(20.0), job_at(15.0)},
+                  path);
+  TraceSource source(path, 100.0, 1);
+  Job job;
+  ASSERT_TRUE(source.next(job));
+  EXPECT_DOUBLE_EQ(job.arrival, 10.0);
+  ASSERT_TRUE(source.next(job));
+  EXPECT_DOUBLE_EQ(job.arrival, 20.0);
+  EXPECT_THROW(source.next(job), std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(ArrivalCacheTest, MissGeneratesThenHitsRecall) {
   ArrivalCache::instance().clear();
   const WorkloadConfig config = small_workload();
   const SourceSpec spec;
   const std::array<std::uint64_t, 2> key = {0xabcdefULL, 0x123456ULL};
-  const ArrivalStream first = cached_arrivals(key, spec, config, 42, 400.0);
+  const PulledArrivals first =
+      cached_stream(key, spec, config, 42, 400.0, /*reusable=*/true);
   EXPECT_FALSE(first.from_cache);
-  ASSERT_TRUE(first.jobs);
-  EXPECT_FALSE(first.jobs->empty());
-  const ArrivalStream second = cached_arrivals(key, spec, config, 42, 400.0);
+  const auto stored = ArrivalCache::instance().lookup(key);
+  ASSERT_TRUE(stored);
+  EXPECT_FALSE(stored->empty());
+  const PulledArrivals second =
+      cached_stream(key, spec, config, 42, 400.0, /*reusable=*/true);
   EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(second.jobs.get(), first.jobs.get());  // shared, not copied
+  // Shared, not copied.
+  EXPECT_EQ(ArrivalCache::instance().lookup(key).get(), stored.get());
   EXPECT_GE(ArrivalCache::instance().hits(), 1u);
 }
 

@@ -49,6 +49,18 @@ TEST(Swf, NonNumericFieldThrows) {
   EXPECT_THROW(load_swf(in, small_mapping()), std::runtime_error);
 }
 
+TEST(Swf, NonFiniteFieldThrows) {
+  // strtod parses these; a NaN or overflowed submit time used to reach
+  // the simulator and abort a figure bench mid-run.
+  for (const char* bad : {"nan", "inf", "-inf", "1e400"}) {
+    std::istringstream in(row(0.0, 10.0) + "2 " + bad + " 0 10\n");
+    EXPECT_THROW(load_swf(in, small_mapping()), std::runtime_error) << bad;
+    std::istringstream run_time("3 5 0 " + std::string(bad) + "\n");
+    EXPECT_THROW(load_swf(run_time, small_mapping()), std::runtime_error)
+        << bad;
+  }
+}
+
 TEST(Swf, ExtraFieldsBeyondEighteenIgnored) {
   std::istringstream in(
       "1 0 0 100 1 -1 -1 1 -1 -1 1 3 1 -1 0 -1 -1 -1 99 98 97\n");

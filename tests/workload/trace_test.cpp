@@ -66,6 +66,21 @@ TEST(Trace, RejectsTruncatedRow) {
   EXPECT_THROW(load_trace(broken), std::runtime_error);
 }
 
+TEST(Trace, RejectsNonFiniteNumbers) {
+  for (const char* bad : {"nan", "inf", "1e400", "x"}) {
+    std::stringstream buffer;
+    save_trace(sample_jobs(1), buffer);
+    std::string text = buffer.str();
+    // Replace the arrival cell (the row's second field).
+    const std::size_t row = text.find('\n') + 1;
+    const std::size_t a = text.find(',', row) + 1;
+    const std::size_t b = text.find(',', a);
+    text.replace(a, b - a, bad);
+    std::stringstream broken(text);
+    EXPECT_THROW(load_trace(broken), std::runtime_error) << bad;
+  }
+}
+
 TEST(Trace, RejectsMissingFile) {
   EXPECT_THROW(load_trace_file("/nonexistent/nope.csv"),
                std::runtime_error);
