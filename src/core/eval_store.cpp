@@ -20,9 +20,9 @@ constexpr std::uint32_t kFormatVersion = 1;
 // Bump whenever the serialized SimulationResult field set changes; the
 // static_assert below trips on silent struct growth so the bump cannot
 // be forgotten.
-constexpr std::uint32_t kValueSchema = 1;
+constexpr std::uint32_t kValueSchema = 2;
 #if defined(__x86_64__) && defined(__linux__)
-static_assert(sizeof(grid::SimulationResult) == 496,
+static_assert(sizeof(grid::SimulationResult) == 480,
               "SimulationResult layout changed: extend write_value/"
               "read_value and bump kValueSchema");
 #endif
@@ -167,8 +167,6 @@ void visit_value(Codec& c, Result& r) {
   c.u64(r.job_log_dropped);
   c.u64(r.arena_high_water);
   c.u64(r.arena_reuses);
-  c.u64(r.arrival_cache_evictions);
-  c.u64(r.arrival_cache_store_skips);
 }
 
 bool key_less(const opt::EvalKey& a, const opt::EvalKey& b) {

@@ -322,8 +322,6 @@ struct SimulationResult {
   std::uint64_t job_log_dropped = 0;  ///< records past the capacity bound
   std::uint64_t arena_high_water = 0;  ///< peak in-flight arrival slots
   std::uint64_t arena_reuses = 0;      ///< arrival slot recycles
-  std::uint64_t arrival_cache_evictions = 0;  ///< byte-budget FIFO evictions
-  std::uint64_t arrival_cache_store_skips = 0;  ///< one-shot stores skipped
 
   /// The telemetry handle the run was instrumented with (null when
   /// telemetry was off); points at the object the caller attached to

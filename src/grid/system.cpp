@@ -8,7 +8,6 @@
 #include "grid/telemetry.hpp"
 #include "net/tree_cache.hpp"
 #include "util/log.hpp"
-#include "workload/arrival_cache.hpp"
 #include "workload/source.hpp"
 #include "workload/trace.hpp"
 
@@ -937,9 +936,6 @@ SimulationResult GridSystem::assemble_result() {
   r.job_log_dropped = sink_->log().dropped();
   r.arena_high_water = arrival_arena_.high_water();
   r.arena_reuses = arrival_arena_.reuses();
-  r.arrival_cache_evictions = workload::ArrivalCache::instance().evictions();
-  r.arrival_cache_store_skips =
-      workload::ArrivalCache::instance().store_skips();
   r.telemetry = config_.telemetry;
   return r;
 }

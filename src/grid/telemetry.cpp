@@ -69,9 +69,12 @@ void fill_manifest(obs::RunManifest& manifest, const GridConfig& config,
         result.workload_stats.mean_interarrival;
     manifest.workload_mean_exec = result.workload_stats.mean_exec_time;
     manifest.workload_from_cache = result.workload_from_cache;
-    manifest.arrival_cache_hits = workload::ArrivalCache::instance().hits();
-    manifest.arrival_cache_evictions = result.arrival_cache_evictions;
-    manifest.arrival_cache_store_skips = result.arrival_cache_store_skips;
+    // Cache counters are process-wide, not per-run: read them from the
+    // memo when the manifest is written.
+    const workload::ArrivalCache& arrivals = workload::ArrivalCache::instance();
+    manifest.arrival_cache_hits = arrivals.hits();
+    manifest.arrival_cache_evictions = arrivals.evictions();
+    manifest.arrival_cache_store_skips = arrivals.store_skips();
   }
 
   // Memory block: only when the streaming tier ran, keeping full-mode

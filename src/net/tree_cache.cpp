@@ -1,43 +1,11 @@
 #include "net/tree_cache.hpp"
 
-#include <cstring>
-#include <mutex>
-
-#include "util/env.hpp"
+#include "util/mix128.hpp"
 
 namespace scal::net {
 
-namespace {
-
-/// Two independent FNV-1a style lanes (same construction as the config
-/// digest in src/grid/digest.cpp, re-stated here because net sits below
-/// grid in the layering).
-class Mix128 {
- public:
-  void word(std::uint64_t w) {
-    a_ = (a_ ^ w) * 0x100000001B3ull;
-    a_ ^= a_ >> 29;
-    b_ = (b_ ^ (w + 0x9E3779B97F4A7C15ull)) * 0xC2B2AE3D27D4EB4Full;
-    b_ ^= b_ >> 31;
-  }
-
-  void real(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    word(bits);
-  }
-
-  std::array<std::uint64_t, 2> finish() const { return {a_, b_}; }
-
- private:
-  std::uint64_t a_ = 0xCBF29CE484222325ull;
-  std::uint64_t b_ = 0x6C62272E07BB0142ull;
-};
-
-}  // namespace
-
 std::array<std::uint64_t, 2> graph_digest(const Graph& graph) {
-  Mix128 mix;
+  util::Mix128 mix;
   const std::size_t n = graph.node_count();
   mix.word(n);
   for (std::size_t u = 0; u < n; ++u) {
@@ -53,124 +21,8 @@ std::array<std::uint64_t, 2> graph_digest(const Graph& graph) {
 }
 
 SharedTreeCache& SharedTreeCache::instance() {
-  static SharedTreeCache cache;
-  static const bool env_applied = [] {
-    const std::int64_t budget = util::env_int("SCAL_TREE_CACHE_BYTES", 0);
-    if (budget > 0) cache.set_max_bytes(static_cast<std::size_t>(budget));
-    return true;
-  }();
-  (void)env_applied;
+  static SharedTreeCache cache(env_budget("SCAL_TREE_CACHE_BYTES"));
   return cache;
-}
-
-std::shared_ptr<const TreeSnapshot> SharedTreeCache::lookup(
-    const Key& topology, NodeId src) {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = entries_.find(EntryKey{topology, src});
-  if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  shares_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-std::shared_ptr<const TreeSnapshot> SharedTreeCache::publish(
-    const Key& topology, NodeId src,
-    std::shared_ptr<const TreeSnapshot> snapshot) {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  const EntryKey key{topology, src};
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // First-publish-wins unless the newcomer is strictly deeper: equal
-    // depths keep the canonical first entry (racing publishers of the
-    // same settle produce bit-identical snapshots anyway).
-    if (snapshot->settled_count <= it->second->settled_count) {
-      return it->second;
-    }
-    bytes_ -= it->second->bytes();
-    bytes_ += snapshot->bytes();
-    it->second = std::move(snapshot);
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-    upgrades_.fetch_add(1, std::memory_order_relaxed);
-    enforce_budget_locked();
-    const auto again = entries_.find(key);
-    return again != entries_.end() ? again->second : nullptr;
-  }
-  const std::size_t cost = snapshot->bytes();
-  if (max_bytes_ != 0 && cost > max_bytes_) {
-    // Larger than the whole budget: hand the snapshot back unstored.
-    return snapshot;
-  }
-  entries_.emplace(key, snapshot);
-  insertion_order_.push_back(key);
-  bytes_ += cost;
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  enforce_budget_locked();
-  const auto again = entries_.find(key);
-  return again != entries_.end() ? again->second : snapshot;
-}
-
-void SharedTreeCache::enforce_budget_locked() {
-  if (max_bytes_ == 0) return;
-  while (bytes_ > max_bytes_ && !insertion_order_.empty()) {
-    const EntryKey victim = insertion_order_.front();
-    insertion_order_.pop_front();
-    const auto it = entries_.find(victim);
-    if (it == entries_.end()) continue;
-    bytes_ -= it->second->bytes();
-    entries_.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SharedTreeCache::set_max_bytes(std::size_t bytes) {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  max_bytes_ = bytes;
-  enforce_budget_locked();
-}
-
-std::size_t SharedTreeCache::max_bytes() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return max_bytes_;
-}
-
-std::size_t SharedTreeCache::bytes() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return bytes_;
-}
-
-std::uint64_t SharedTreeCache::shares() const {
-  return shares_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::misses() const {
-  return misses_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::publishes() const {
-  return publishes_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::upgrades() const {
-  return upgrades_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::evictions() const {
-  return evictions_.load(std::memory_order_relaxed);
-}
-
-std::size_t SharedTreeCache::size() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void SharedTreeCache::clear() {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  entries_.clear();
-  insertion_order_.clear();
-  bytes_ = 0;
-  shares_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  publishes_.store(0, std::memory_order_relaxed);
-  upgrades_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace scal::net

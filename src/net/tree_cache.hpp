@@ -4,8 +4,7 @@
 // link's endpoint/latency/bandwidth) plus the source node.  Parallel
 // session slots, SA restart chains, and per-RMS sweeps all route over
 // bit-identical graphs; sharing the trees means each source is settled
-// once per process instead of once per GridSystem (the PR 5 profiling
-// carry-over).
+// once per process instead of once per GridSystem.
 //
 // Entries are immutable TreeSnapshot values behind shared_ptr, so
 // concurrent readers never observe a mutating Dijkstra frontier.  A
@@ -16,19 +15,17 @@
 // agrees on its settled prefix (Dijkstra finalizes in global distance
 // order), so which snapshot a reader adopts can never change a route.
 //
-// The memo is byte-budgeted like workload::ArrivalCache: set_max_bytes
-// (or SCAL_TREE_CACHE_BYTES at first use) caps the resident payload,
-// evicting oldest-first when a publish would exceed it.
+// The memo is a util::DigestMemo like workload::ArrivalCache:
+// byte-budgeted through set_max_bytes (or SCAL_TREE_CACHE_BYTES at first
+// use), FIFO eviction, and an oversized snapshot handed back unstored.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
+#include <utility>
 
 #include "net/routing.hpp"
+#include "util/digest_memo.hpp"
 
 namespace scal::net {
 
@@ -38,84 +35,68 @@ namespace scal::net {
 /// interchangeable.
 std::array<std::uint64_t, 2> graph_digest(const Graph& graph);
 
-class SharedTreeCache {
- public:
-  using Key = std::array<std::uint64_t, 2>;
+struct TreeSnapshotBytes {
+  std::size_t operator()(const TreeSnapshot& snapshot) const noexcept {
+    return snapshot.bytes();
+  }
+};
 
-  /// The process-wide instance every sharing Router consults.  The
-  /// first call reads SCAL_TREE_CACHE_BYTES (bytes; unset or 0 keeps
-  /// the cache unbounded) into the byte budget.
+/// A later snapshot replaces the resident one only when strictly deeper
+/// (more settled nodes); equal depths keep the canonical first entry.
+struct StrictlyDeeper {
+  bool operator()(const TreeSnapshot& resident,
+                  const TreeSnapshot& incoming) const noexcept {
+    return incoming.settled_count > resident.settled_count;
+  }
+};
+
+class SharedTreeCache
+    : private util::DigestMemo<std::array<std::uint64_t, 3>, TreeSnapshot,
+                               TreeSnapshotBytes, StrictlyDeeper> {
+  using Memo = util::DigestMemo<std::array<std::uint64_t, 3>, TreeSnapshot,
+                                TreeSnapshotBytes, StrictlyDeeper>;
+
+ public:
+  using Key = std::array<std::uint64_t, 2>;  ///< topology digest
+  using Memo::Memo;
+
+  /// The process-wide instance every sharing Router consults.  Its byte
+  /// budget is SCAL_TREE_CACHE_BYTES (bytes; unset or 0 = unbounded).
   static SharedTreeCache& instance();
 
   /// The cached snapshot for (topology, src), or null.  Counts a share
-  /// or a miss.  Read-mostly: concurrent lookups take a shared lock.
+  /// or a miss.
   std::shared_ptr<const TreeSnapshot> lookup(const Key& topology,
-                                             NodeId src);
+                                             NodeId src) {
+    return Memo::lookup(entry_key(topology, src));
+  }
 
-  /// Publish a snapshot for (topology, src).  First-publish-wins; a
-  /// later snapshot replaces the entry only when strictly deeper
-  /// (more settled nodes), so racing publishers of the same settle
-  /// depth keep the canonical first entry.  Returns the entry now in
-  /// the cache (the prior one when the publish lost the race, possibly
-  /// `snapshot` unstored when the byte budget rejects it).
+  /// Publish a snapshot for (topology, src); see StrictlyDeeper and
+  /// util::DigestMemo::publish for which snapshot ends up canonical.
   std::shared_ptr<const TreeSnapshot> publish(
       const Key& topology, NodeId src,
-      std::shared_ptr<const TreeSnapshot> snapshot);
+      std::shared_ptr<const TreeSnapshot> snapshot) {
+    return Memo::publish(entry_key(topology, src), std::move(snapshot));
+  }
 
-  /// Byte budget for resident snapshots; 0 = unbounded (the default).
-  void set_max_bytes(std::size_t bytes);
-  std::size_t max_bytes() const;
-  /// Total snapshot payload bytes currently resident.
-  std::size_t bytes() const;
+  /// Lookups answered (trees adopted).
+  std::uint64_t shares() const { return hits(); }
 
-  std::uint64_t shares() const;     ///< lookups answered (trees adopted)
-  std::uint64_t misses() const;     ///< lookups that found nothing
-  std::uint64_t publishes() const;  ///< snapshots accepted (incl. upgrades)
-  std::uint64_t upgrades() const;   ///< publishes replacing a shallower one
-  std::uint64_t evictions() const;  ///< entries dropped for the byte budget
-  std::size_t size() const;         ///< resident (topology, src) entries
-
-  /// Drop every entry and zero the counters (tests and benches; the
-  /// simulation never needs it — snapshots are pure functions of their
-  /// keys).  Routers holding adopted snapshots keep them alive; the
-  /// byte budget is kept.
-  void clear();
+  using Memo::bytes;
+  using Memo::clear;
+  using Memo::evictions;
+  using Memo::max_bytes;
+  using Memo::misses;
+  using Memo::publishes;
+  using Memo::replacements;
+  using Memo::set_max_bytes;
+  using Memo::size;
 
  private:
-  struct EntryKey {
-    Key topology{};
-    NodeId src = 0;
-    bool operator==(const EntryKey& other) const noexcept {
-      return topology == other.topology && src == other.src;
-    }
-  };
-  struct EntryKeyHash {
-    std::size_t operator()(const EntryKey& k) const noexcept {
-      // The topology key is already a high-quality digest; fold in src.
-      return static_cast<std::size_t>(
-          k.topology[0] ^ (k.topology[1] * 0x9E3779B97F4A7C15ull) ^
-          (static_cast<std::uint64_t>(k.src) * 0xC2B2AE3D27D4EB4Full));
-    }
-  };
-
-  /// Evict oldest-first until the payload fits the budget (lock held).
-  void enforce_budget_locked();
-
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<EntryKey, std::shared_ptr<const TreeSnapshot>,
-                     EntryKeyHash>
-      entries_;
-  std::deque<EntryKey> insertion_order_;  // FIFO eviction order
-  std::size_t bytes_ = 0;
-  std::size_t max_bytes_ = 0;  // 0 = unbounded
-  // Share/miss counters are bumped under the shared lock, so they are
-  // atomics; the rest only mutates under the exclusive lock but stays
-  // atomic for lock-free accessors.
-  std::atomic<std::uint64_t> shares_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> upgrades_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  static std::array<std::uint64_t, 3> entry_key(const Key& topology,
+                                                NodeId src) {
+    return {topology[0], topology[1], src};
+  }
 };
 
 }  // namespace scal::net

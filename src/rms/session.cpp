@@ -11,8 +11,7 @@ grid::SimulationResult SimulationSession::run(const grid::GridConfig& config) {
     grid::GridConfig effective = config;
     // Instrumented runs keep sharing off: adopted trees skip settle work
     // the phase profiler would otherwise count (routes are unaffected).
-    effective.share_router_trees =
-        tree_sharing_ && config.telemetry == nullptr;
+    effective.share_router_trees = config.telemetry == nullptr;
     system_ = std::make_unique<grid::GridSystem>(
         effective, scheduler_factory(effective.rms));
     ++rebuilds_;

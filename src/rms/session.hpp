@@ -37,15 +37,9 @@ class SimulationSession {
   /// Times run() had to construct a system (diagnostics).
   std::size_t rebuilds() const noexcept { return rebuilds_; }
 
-  /// Router source-tree sharing for systems this session builds
-  /// (default on; see header comment).  Honored at the next rebuild.
-  void set_tree_sharing(bool on) noexcept { tree_sharing_ = on; }
-  bool tree_sharing() const noexcept { return tree_sharing_; }
-
  private:
   std::unique_ptr<grid::GridSystem> system_;
   std::size_t rebuilds_ = 0;
-  bool tree_sharing_ = true;
 };
 
 /// Lazily grown set of sessions with stable references.  Thread-compatible

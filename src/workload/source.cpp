@@ -209,7 +209,7 @@ PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,
   auto generated = std::make_shared<const std::vector<Job>>(
       make_source(spec, workload, seed, horizon)->generate_until(horizon));
   return {std::make_unique<VectorReplayStream>(
-              cache.store(key, std::move(generated))),
+              cache.publish(key, std::move(generated))),
           false};
 }
 

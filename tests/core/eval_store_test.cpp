@@ -108,8 +108,6 @@ grid::SimulationResult make_result(double base) {
   r.job_log_dropped = u + 36;
   r.arena_high_water = u + 37;
   r.arena_reuses = u + 38;
-  r.arrival_cache_evictions = u + 39;
-  r.arrival_cache_store_skips = u + 40;
   return r;
 }
 
@@ -186,8 +184,6 @@ void expect_bitwise_equal(const grid::SimulationResult& a,
   EXPECT_EQ(a.job_log_dropped, b.job_log_dropped);
   EXPECT_EQ(a.arena_high_water, b.arena_high_water);
   EXPECT_EQ(a.arena_reuses, b.arena_reuses);
-  EXPECT_EQ(a.arrival_cache_evictions, b.arrival_cache_evictions);
-  EXPECT_EQ(a.arrival_cache_store_skips, b.arrival_cache_store_skips);
   // The telemetry pointer is deliberately NOT serialized.
   EXPECT_EQ(b.telemetry, nullptr);
 }

@@ -72,13 +72,13 @@ TEST_F(TreeCacheTest, FirstPublishWinsUnlessStrictlyDeeper) {
   auto rival = std::make_shared<TreeSnapshot>();
   rival->settled_count = 5;
   EXPECT_EQ(cache.publish(key, 0, rival), shallow);
-  EXPECT_EQ(cache.upgrades(), 0u);
+  EXPECT_EQ(cache.replacements(), 0u);
 
   // Strictly deeper: replaces.
   auto deeper = std::make_shared<TreeSnapshot>();
   deeper->settled_count = 6;
   EXPECT_EQ(cache.publish(key, 0, deeper), deeper);
-  EXPECT_EQ(cache.upgrades(), 1u);
+  EXPECT_EQ(cache.replacements(), 1u);
   EXPECT_EQ(cache.lookup(key, 0), deeper);
 }
 
@@ -183,6 +183,8 @@ TEST_F(TreeCacheTest, ClearCacheDetachesWithoutTouchingSharedState) {
 }
 
 TEST_F(TreeCacheTest, ByteBudgetEvictsOldestFirst) {
+  // The eviction itself is util::DigestMemo's; this pins that the tree
+  // cache charges TreeSnapshot::bytes() and keys entries per source.
   SharedTreeCache& cache = SharedTreeCache::instance();
   auto sized = [](std::size_t n) {
     auto snap = std::make_shared<TreeSnapshot>();

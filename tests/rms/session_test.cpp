@@ -65,22 +65,14 @@ TEST(SimulationSession, RebuildsOnStructuralChange) {
 }
 
 TEST(SimulationSession, TreeSharingIsResultInvisible) {
-  // Sessions opt their systems into the shared router-tree cache by
-  // default; the results must be bit-identical to a sharing-off session
-  // and to the one-shot simulate() path.
+  // Sessions opt their systems into the shared router-tree cache; the
+  // results must be bit-identical to the one-shot simulate() path, which
+  // builds without sharing.
   net::SharedTreeCache::instance().clear();
   const grid::GridConfig config = small_config();
 
   SimulationSession sharing;
-  ASSERT_TRUE(sharing.tree_sharing());
-  const auto with = sharing.run(config);
-
-  SimulationSession isolated;
-  isolated.set_tree_sharing(false);
-  const auto without = isolated.run(config);
-
-  expect_identical(with, without);
-  expect_identical(with, simulate(config));
+  expect_identical(sharing.run(config), simulate(config));
   // The sharing session really published trees for others to adopt.
   EXPECT_GT(net::SharedTreeCache::instance().publishes(), 0u);
   net::SharedTreeCache::instance().clear();
@@ -95,7 +87,6 @@ TEST(SimulationSession, TelemetryKeepsSharingOff) {
   config.telemetry = &telemetry;
 
   SimulationSession session;
-  ASSERT_TRUE(session.tree_sharing());
   (void)session.run(config);
   EXPECT_EQ(net::SharedTreeCache::instance().publishes(), 0u);
   EXPECT_EQ(net::SharedTreeCache::instance().size(), 0u);

@@ -288,9 +288,9 @@ TEST(ArrivalCacheTest, FirstInsertWins) {
   const std::array<std::uint64_t, 2> key = {7ULL, 9ULL};
   auto first = std::make_shared<const std::vector<Job>>(1);
   auto second = std::make_shared<const std::vector<Job>>(2);
-  EXPECT_EQ(cache.store(key, first).get(), first.get());
+  EXPECT_EQ(cache.publish(key, first).get(), first.get());
   // A racing second insert is dropped; the canonical vector survives.
-  EXPECT_EQ(cache.store(key, second).get(), first.get());
+  EXPECT_EQ(cache.publish(key, second).get(), first.get());
   EXPECT_EQ(cache.size(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
