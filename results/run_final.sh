@@ -4,5 +4,3 @@ for f in fig2_scale_network fig3_scale_service_rate fig4_scale_estimators fig5_s
   SCAL_BENCH_CSV=/root/repo/results /root/repo/build/bench/$f > /root/repo/results/$f.txt 2>&1
   echo "done $f $(date +%H:%M:%S)"
 done
-/root/repo/build/bench/micro_kernels --benchmark_min_time=0.2 > /root/repo/results/micro_kernels.txt 2>&1
-echo "done micro_kernels $(date +%H:%M:%S)"

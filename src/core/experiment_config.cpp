@@ -65,8 +65,7 @@ const std::set<std::string>& known_keys() {
       "grid.nodes", "grid.topology", "grid.cluster_size",
       "grid.estimators_per_cluster", "grid.service_rate", "grid.rms",
       "grid.seed", "grid.horizon", "grid.update_suppression",
-      "grid.heterogeneity",
-      "grid.control_loss_probability", "grid.job_log",
+      "grid.heterogeneity", "grid.job_log",
       "grid.job_log_capacity", "grid.result_mode",
       "grid.sample_interval",
       "workload.mean_interarrival", "workload.t_cpu",
@@ -117,8 +116,6 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   g.update_suppression =
       ini.get_bool("grid.update_suppression", g.update_suppression);
   g.heterogeneity = ini.get_double("grid.heterogeneity", g.heterogeneity);
-  g.control_loss_probability = ini.get_double(
-      "grid.control_loss_probability", g.control_loss_probability);
   g.job_log = ini.get_bool("grid.job_log", g.job_log);
   g.job_log_capacity = static_cast<std::size_t>(
       ini.get_int("grid.job_log_capacity",
@@ -187,6 +184,7 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
     }
   }
   config.csv_path = ini.get_string("experiment.csv_path", "");
+  g.validate();
   return config;
 }
 
@@ -209,8 +207,6 @@ util::IniFile experiment_to_ini(const ExperimentConfig& config) {
   ini.set_double("grid.horizon", g.horizon);
   ini.set_bool("grid.update_suppression", g.update_suppression);
   ini.set_double("grid.heterogeneity", g.heterogeneity);
-  ini.set_double("grid.control_loss_probability",
-                 g.control_loss_probability);
   ini.set_bool("grid.job_log", g.job_log);
   if (g.job_log_capacity > 0) {
     ini.set_int("grid.job_log_capacity",

@@ -1,6 +1,7 @@
 #include "grid/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace scal::grid {
@@ -29,6 +30,13 @@ RmsKind rms_from_string(const std::string& name) {
   throw std::invalid_argument("rms_from_string: unknown RMS '" + name + "'");
 }
 
+namespace {
+
+/// True for a finite x > 0; false for NaN and ±inf.
+bool positive(double x) { return x > 0.0 && std::isfinite(x); }
+
+}  // namespace
+
 void GridConfig::validate() const {
   if (topology.nodes < 4) {
     throw std::invalid_argument("GridConfig: need at least 4 nodes");
@@ -44,23 +52,29 @@ void GridConfig::validate() const {
     throw std::invalid_argument(
         "GridConfig: estimators leave no room for resources");
   }
-  if (!(service_rate > 0.0)) {
-    throw std::invalid_argument("GridConfig: service rate must be positive");
+  if (!positive(service_rate)) {
+    throw std::invalid_argument(
+        "GridConfig: service rate must be positive and finite");
   }
   if (!(heterogeneity >= 0.0) || heterogeneity > 0.9) {
     throw std::invalid_argument(
         "GridConfig: heterogeneity must be in [0, 0.9]");
   }
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument("GridConfig: horizon must be positive");
+  if (!positive(horizon)) {
+    throw std::invalid_argument(
+        "GridConfig: horizon must be positive and finite");
   }
-  if (!(tuning.update_interval > 0.0) || tuning.neighborhood_size == 0 ||
-      !(tuning.link_delay_scale > 0.0) || !(tuning.volunteer_interval > 0.0)) {
+  if (!std::isfinite(sample_interval)) {
+    throw std::invalid_argument("GridConfig: sample interval must be finite");
+  }
+  if (!positive(tuning.update_interval) || tuning.neighborhood_size == 0 ||
+      !positive(tuning.link_delay_scale) ||
+      !positive(tuning.volunteer_interval)) {
     throw std::invalid_argument("GridConfig: bad tuning values");
   }
   if (tuning.agg_fanout == 0 || tuning.agg_fanout > 64 ||
       tuning.agg_batch == 0 || tuning.agg_batch > 4096 ||
-      !(tuning.agg_flush >= 0.0)) {
+      !(tuning.agg_flush >= 0.0) || !std::isfinite(tuning.agg_flush)) {
     throw std::invalid_argument("GridConfig: bad aggregation tuning values");
   }
   if (!(costs.ctrl_process_update >= 0.0) ||
@@ -71,11 +85,6 @@ void GridConfig::validate() const {
   if (!(protocol.t_l > 0.0 && protocol.t_l < 1.0) ||
       !(protocol.delta > 0.0 && protocol.delta <= 1.0)) {
     throw std::invalid_argument("GridConfig: thresholds must be in (0,1)");
-  }
-  if (!(control_loss_probability >= 0.0) ||
-      !(control_loss_probability < 1.0)) {
-    throw std::invalid_argument(
-        "GridConfig: control loss probability must be in [0, 1)");
   }
   if (!(protocol.reply_timeout > 0.0)) {
     throw std::invalid_argument("GridConfig: reply timeout must be positive");

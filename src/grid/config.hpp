@@ -184,12 +184,6 @@ struct GridConfig {
   std::uint64_t seed = 42;
   double horizon = 1500.0;  ///< simulated time units
 
-  /// Failure injection: probability that any single *control* message
-  /// (polls, replies, updates, adverts, bids) is silently dropped.
-  /// Job transfers stay reliable (they carry state that must not be
-  /// lost).  Protocols recover via reply_timeout watchdogs.
-  double control_loss_probability = 0.0;
-
   /// Fault-injection schedule (src/fault).  Inert by default; when any
   /// class is active GridSystem instantiates a FaultInjector, switches
   /// on the robustness mixin in every scheduler, and exports the fault

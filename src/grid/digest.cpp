@@ -97,7 +97,6 @@ std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
 
   mix.word(config.seed);
   mix.real(config.horizon);
-  mix.real(config.control_loss_probability);
 
   // The spec string covers every enabled fault class; the robustness
   // params are hashed explicitly because to_spec() omits them when no

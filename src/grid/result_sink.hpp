@@ -19,7 +19,7 @@
 //
 // Every sink owns a JobLog so lifecycle events always have one
 // destination; policies and components record through
-// MetricsCollector::record_job_event instead of mutating job_log()
+// MetricsCollector::record_job_event instead of mutating the log
 // directly.
 
 #include <cstdint>

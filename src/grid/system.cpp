@@ -34,10 +34,6 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
     network_->enable_tree_sharing(net::graph_digest(graph_));
   }
   network_->set_delay_scale(config_.tuning.link_delay_scale);
-  if (config_.control_loss_probability > 0.0) {
-    network_->set_loss(config_.control_loss_probability,
-                       util::RandomStream(config_.seed, "control-loss"));
-  }
 
   // Clusters.
   util::RandomStream part_rng(config_.seed, "partition");
@@ -787,12 +783,6 @@ void GridSystem::reset(const GridConfig& next) {
 
   network_->reset_counters();
   network_->set_delay_scale(config_.tuning.link_delay_scale);
-  if (config_.control_loss_probability > 0.0) {
-    // Re-arm with a fresh stream so the drop draw sequence replays
-    // exactly like a fresh build.
-    network_->set_loss(config_.control_loss_probability,
-                       util::RandomStream(config_.seed, "control-loss"));
-  }
 
   middleware_->reset_server();
   for (auto& sched : schedulers_) sched->reset();

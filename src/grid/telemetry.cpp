@@ -43,7 +43,6 @@ void fill_manifest(obs::RunManifest& manifest, const GridConfig& config,
   manifest.estimators_per_cluster = config.estimators_per_cluster;
   manifest.service_rate = config.service_rate;
   manifest.heterogeneity = config.heterogeneity;
-  manifest.control_loss_probability = config.control_loss_probability;
   manifest.update_interval = config.tuning.update_interval;
   manifest.neighborhood_size = config.tuning.neighborhood_size;
   manifest.link_delay_scale = config.tuning.link_delay_scale;

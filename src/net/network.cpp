@@ -24,14 +24,6 @@ void Network::send(NodeId src, NodeId dst, double size,
   sim().schedule_in(d, std::move(on_arrival));
 }
 
-void Network::set_loss(double probability, util::RandomStream rng) {
-  if (!(probability >= 0.0) || !(probability < 1.0)) {
-    throw std::invalid_argument("Network: loss probability in [0, 1)");
-  }
-  loss_probability_ = probability;
-  loss_rng_ = rng;
-}
-
 void Network::set_faults(const NetFaults& faults, util::RandomStream rng) {
   auto check = [](const char* key, double p) {
     if (!(p >= 0.0) || !(p < 1.0)) {
@@ -51,11 +43,6 @@ void Network::set_faults(const NetFaults& faults, util::RandomStream rng) {
 
 void Network::send_unreliable(NodeId src, NodeId dst, double size,
                               sim::EventFn on_arrival) {
-  if (loss_probability_ > 0.0 && loss_rng_ &&
-      loss_rng_->bernoulli(loss_probability_)) {
-    ++dropped_;
-    return;
-  }
   if (faults_.any() && fault_rng_) {
     if (faults_.drop > 0.0 && fault_rng_->bernoulli(faults_.drop)) {
       ++dropped_;

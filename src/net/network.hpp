@@ -15,11 +15,9 @@
 
 namespace scal::net {
 
-/// Control-message fault model (fault subsystem): per-message drop /
-/// duplication / extra-delay decisions on a dedicated stream.  Applies
-/// to the unreliable path only and composes with (runs after) the
-/// legacy set_loss check, so enabling it never perturbs the draw
-/// sequence of existing loss-injection runs.
+/// Control-message fault model (fault subsystem, `net:` in a fault
+/// spec): per-message drop / duplication / extra-delay decisions on a
+/// dedicated stream.  Applies to the unreliable path only.
 struct NetFaults {
   double drop = 0.0;               ///< independent drop probability
   double duplicate = 0.0;          ///< probability of a second delivery
@@ -41,22 +39,19 @@ class Network : public sim::Entity {
   void send(NodeId src, NodeId dst, double size,
             sim::EventFn on_arrival);
 
-  /// Like send(), but subject to the configured control-message loss
-  /// probability (failure injection).  A dropped message simply never
-  /// arrives; protocols must tolerate that via timeouts/idempotence.
+  /// Like send(), but subject to the message faults armed by
+  /// set_faults().  A dropped message simply never arrives; protocols
+  /// must tolerate that via timeouts/idempotence.
   void send_unreliable(NodeId src, NodeId dst, double size,
                        sim::EventFn on_arrival);
 
-  /// Enable loss injection.  p in [0, 1); the stream seeds the drop
-  /// decisions so runs stay deterministic.
-  void set_loss(double probability, util::RandomStream rng);
-  double loss_probability() const noexcept { return loss_probability_; }
-  std::uint64_t messages_dropped() const noexcept { return dropped_; }
-
-  /// Enable the fault-subsystem message model.  Each unreliable message
-  /// draws, in fixed order and only for the classes enabled, drop ->
-  /// extra delay -> duplication, so disabled classes consume no draws.
+  /// Enable the fault-subsystem message model.  Each probability is in
+  /// [0, 1).  Each unreliable message draws, in fixed order and only for
+  /// the classes enabled, drop -> extra delay -> duplication, so
+  /// disabled classes consume no draws; the stream keeps runs
+  /// deterministic.
   void set_faults(const NetFaults& faults, util::RandomStream rng);
+  std::uint64_t messages_dropped() const noexcept { return dropped_; }
   std::uint64_t messages_duplicated() const noexcept { return duplicated_; }
   std::uint64_t messages_delayed() const noexcept { return delayed_; }
 
@@ -92,7 +87,7 @@ class Network : public sim::Entity {
   /// shortest-path trees are deliberately kept warm: routes depend only
   /// on the immutable graph (the delay-scale enabler applies at query
   /// time), and re-settling them dominates the cost of a cold run.  The
-  /// caller re-arms set_loss / set_faults with fresh streams so the
+  /// caller re-arms set_faults with a fresh stream so the
   /// stochastic layers replay exactly like a fresh build.
   void reset_counters() noexcept {
     messages_ = 0;
@@ -107,8 +102,6 @@ class Network : public sim::Entity {
   double delay_scale_ = 1.0;
   std::uint64_t messages_ = 0;
   double bytes_ = 0.0;
-  double loss_probability_ = 0.0;
-  std::optional<util::RandomStream> loss_rng_;
   std::uint64_t dropped_ = 0;
   NetFaults faults_;
   std::optional<util::RandomStream> fault_rng_;

@@ -40,7 +40,6 @@ std::string RunManifest::to_json() const {
       .field("estimators_per_cluster", estimators_per_cluster)
       .field("service_rate", service_rate)
       .field("heterogeneity", heterogeneity)
-      .field("control_loss_probability", control_loss_probability)
       .field("mean_interarrival", mean_interarrival);
   JsonObject tuning;
   tuning.field("update_interval", update_interval)

@@ -37,7 +37,6 @@ struct RunManifest {
   std::uint64_t estimators_per_cluster = 0;
   double service_rate = 0.0;
   double heterogeneity = 0.0;
-  double control_loss_probability = 0.0;
   double update_interval = 0.0;
   std::uint64_t neighborhood_size = 0;
   double link_delay_scale = 0.0;

@@ -1,5 +1,6 @@
 #include "util/ini.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -112,6 +113,7 @@ double IniFile::get_double(const std::string& key, double fallback) const {
     std::size_t pos = 0;
     const double parsed = std::stod(*v, &pos);
     if (pos != v->size()) throw std::invalid_argument("trailing junk");
+    if (!std::isfinite(parsed)) throw std::invalid_argument("not finite");
     return parsed;
   } catch (const std::exception&) {
     throw std::runtime_error("IniFile: '" + key + "' is not a number: " +

@@ -55,9 +55,26 @@ TEST(ExperimentConfig, ParsesFullFile) {
 }
 
 TEST(ExperimentConfig, RejectsUnknownKeys) {
-  EXPECT_THROW(experiment_from_ini(util::IniFile::parse(
-                   "[grid]\nnodez = 100\n")),
-               std::runtime_error);
+  for (const char* text : {"[grid]\nnodez = 100\n",
+                           "[grid]\ncontrol_loss_probability = 0.1\n"}) {
+    EXPECT_THROW(experiment_from_ini(util::IniFile::parse(text)),
+                 std::runtime_error)
+        << text;
+  }
+}
+
+TEST(ExperimentConfig, RejectsNonFiniteAndInvalidGridValues) {
+  for (const char* text : {"[grid]\nhorizon = inf\n",
+                           "[grid]\nhorizon = nan\n",
+                           "[grid]\nservice_rate = inf\n"}) {
+    EXPECT_THROW(experiment_from_ini(util::IniFile::parse(text)),
+                 std::runtime_error)
+        << text;
+  }
+  // Finite but out of range: rejected at load, not mid-run.
+  EXPECT_THROW(
+      experiment_from_ini(util::IniFile::parse("[grid]\nhorizon = -5\n")),
+      std::invalid_argument);
 }
 
 TEST(ExperimentConfig, RejectsUnknownCaseAndTopologyAndRms) {

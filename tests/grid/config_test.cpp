@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace scal::grid {
 namespace {
 
@@ -79,6 +81,25 @@ TEST(GridConfig, ValidationCatchesNonsense) {
   c = good;
   c.protocol.delta = 0.0;
   expect_invalid(c);
+
+  // Non-finite values: an infinite horizon would never end the run.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    for (double GridConfig::*field :
+         {&GridConfig::horizon, &GridConfig::service_rate,
+          &GridConfig::sample_interval}) {
+      c = good;
+      c.*field = bad;
+      expect_invalid(c);
+    }
+    for (double Tuning::*field :
+         {&Tuning::update_interval, &Tuning::link_delay_scale,
+          &Tuning::volunteer_interval, &Tuning::agg_flush}) {
+      c = good;
+      c.tuning.*field = bad;
+      expect_invalid(c);
+    }
+  }
 }
 
 TEST(GridConfig, AllSevenKindsEnumerated) {

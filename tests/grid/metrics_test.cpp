@@ -179,26 +179,28 @@ TEST(MetricsCollector, MergeEqualsSerialAccumulation) {
 }
 
 TEST(MetricsCollector, MergeDoesNotTouchJobLogs) {
-  JobLog log;
-  log.set_enabled(true);
   MetricsCollector a;
-  a.attach_job_log(&log);
+  a.sink().log().set_enabled(true);
+  a.record_job_event(1, JobEvent::kArrival, 0.0);
   MetricsCollector b;
+  b.sink().log().set_enabled(true);
+  b.record_job_event(2, JobEvent::kArrival, 0.5);
   b.count_poll();
   a.merge(b);
-  EXPECT_EQ(a.job_log(), &log);
+  ASSERT_EQ(a.sink().log().size(), 1u);
+  EXPECT_EQ(a.sink().log().records()[0].job, 1u);
   EXPECT_EQ(a.polls(), 1u);
 }
 
 TEST(MetricsCollector, ResetClearsEverythingButKeepsJobLog) {
-  JobLog log;
-  log.set_enabled(true);
   MetricsCollector m;
-  m.attach_job_log(&log);
+  m.sink().log().set_enabled(true);
   m.record_arrival(job_with(100.0, 0.0, 3.0));
   m.record_completion(job_with(100.0, 10.0, 2.0), 29.0, 10.0, 0.5);
   m.count_poll();
   m.count_auction();
+  const std::size_t logged = m.sink().log().size();
+  ASSERT_GT(logged, 0u);
 
   m.reset();
   const MetricsSnapshot s = m.snapshot();
@@ -208,8 +210,8 @@ TEST(MetricsCollector, ResetClearsEverythingButKeepsJobLog) {
   EXPECT_EQ(s.polls, 0u);
   EXPECT_EQ(s.auctions, 0u);
   EXPECT_EQ(m.response_times().count(), 0u);
-  // The attached log survives a reset (it belongs to the caller).
-  EXPECT_EQ(m.job_log(), &log);
+  // The sink's log survives a reset (its owner clears it).
+  EXPECT_EQ(m.sink().log().size(), logged);
 }
 
 }  // namespace

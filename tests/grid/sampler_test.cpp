@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::grid {
 namespace {
@@ -18,13 +18,13 @@ GridConfig sampled_config(double interval, double ia = 1.0) {
 }
 
 TEST(StateSampler, OffByDefault) {
-  auto system = rms::make_grid(sampled_config(0.0));
+  auto system = Scenario(sampled_config(0.0)).build();
   system->run();
   EXPECT_EQ(system->sampler(), nullptr);
 }
 
 TEST(StateSampler, SamplesOnCadence) {
-  auto system = rms::make_grid(sampled_config(50.0));
+  auto system = Scenario(sampled_config(50.0)).build();
   system->run();
   ASSERT_NE(system->sampler(), nullptr);
   const auto& samples = system->sampler()->samples();
@@ -36,7 +36,7 @@ TEST(StateSampler, SamplesOnCadence) {
 }
 
 TEST(StateSampler, ValuesAreSane) {
-  auto system = rms::make_grid(sampled_config(25.0));
+  auto system = Scenario(sampled_config(25.0)).build();
   system->run();
   const auto& samples = system->sampler()->samples();
   // First sample: empty system.
@@ -53,9 +53,9 @@ TEST(StateSampler, ValuesAreSane) {
 }
 
 TEST(StateSampler, OverloadShowsRisingBacklog) {
-  auto light = rms::make_grid(sampled_config(50.0, /*ia=*/4.0));
+  auto light = Scenario(sampled_config(50.0, /*ia=*/4.0)).build();
   light->run();
-  auto heavy = rms::make_grid(sampled_config(50.0, /*ia=*/0.2));
+  auto heavy = Scenario(sampled_config(50.0, /*ia=*/0.2)).build();
   heavy->run();
   const auto& l = light->sampler()->samples();
   const auto& h = heavy->sampler()->samples();
@@ -64,7 +64,7 @@ TEST(StateSampler, OverloadShowsRisingBacklog) {
 }
 
 TEST(StateSampler, RejectsBadInterval) {
-  auto system = rms::make_grid(sampled_config(0.0));
+  auto system = Scenario(sampled_config(0.0)).build();
   EXPECT_THROW(StateSampler(*system, 999, -1.0), std::invalid_argument);
 }
 

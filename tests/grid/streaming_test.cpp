@@ -18,7 +18,6 @@
 #include "grid/digest.hpp"
 #include "grid/sampler.hpp"
 #include "grid/system.hpp"
-#include "rms/factory.hpp"
 #include "rms/scenario.hpp"
 #include "util/rng.hpp"
 #include "workload/arrival_cache.hpp"
@@ -96,9 +95,9 @@ class StreamingIdentityTest : public ::testing::TestWithParam<grid::RmsKind> {
 TEST_P(StreamingIdentityTest, MatchesFullModeBitForBit) {
   workload::ArrivalCache::instance().clear();
   const auto full =
-      rms::simulate(config_for(GetParam(), grid::ResultMode::kFull));
+      Scenario(config_for(GetParam(), grid::ResultMode::kFull)).run();
   const auto streaming =
-      rms::simulate(config_for(GetParam(), grid::ResultMode::kStreaming));
+      Scenario(config_for(GetParam(), grid::ResultMode::kStreaming)).run();
   expect_identical_but_p95(full, streaming, grid::to_string(GetParam()));
   EXPECT_EQ(full.result_mode, grid::ResultMode::kFull);
   EXPECT_EQ(streaming.result_mode, grid::ResultMode::kStreaming);
@@ -121,8 +120,8 @@ TEST_P(StreamingIdentityTest, MatchesFullModeUnderFaults) {
       fault::FaultPlan::parse("churn:mtbf=120,mttr=15;net:drop=0.02");
   grid::GridConfig streaming_config = full_config;
   streaming_config.result_mode = grid::ResultMode::kStreaming;
-  const auto full = rms::simulate(full_config);
-  const auto streaming = rms::simulate(streaming_config);
+  const auto full = Scenario(full_config).run();
+  const auto streaming = Scenario(streaming_config).run();
   EXPECT_GT(full.resource_crashes, 0u) << grid::to_string(GetParam());
   expect_identical_but_p95(full, streaming, grid::to_string(GetParam()));
 }
@@ -250,13 +249,13 @@ TEST(StreamingJobLog, CapacityBoundsTheLogAndCountsDrops) {
       config_for(grid::RmsKind::kLowest, grid::ResultMode::kStreaming);
   config.job_log = true;
   config.job_log_capacity = 50;
-  const auto result = rms::simulate(config);
+  const auto result = Scenario(config).run();
   EXPECT_EQ(result.job_log_records, 50u);
   EXPECT_GT(result.job_log_dropped, 0u);
 
   // Unbounded control: the same run keeps everything.
   config.job_log_capacity = 0;
-  const auto unbounded = rms::simulate(config);
+  const auto unbounded = Scenario(config).run();
   EXPECT_EQ(unbounded.job_log_dropped, 0u);
   EXPECT_EQ(unbounded.job_log_records,
             result.job_log_records + result.job_log_dropped);

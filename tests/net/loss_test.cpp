@@ -28,7 +28,7 @@ TEST(NetworkLoss, DropRateMatchesProbability) {
   sim::Simulator sim;
   const Graph g = pair_graph();
   Network net(sim, 0, g);
-  net.set_loss(0.3, util::RandomStream(42, "loss"));
+  net.set_faults(NetFaults{.drop = 0.3}, util::RandomStream(42, "loss"));
   int delivered = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -45,7 +45,7 @@ TEST(NetworkLoss, ReliableSendIgnoresLoss) {
   sim::Simulator sim;
   const Graph g = pair_graph();
   Network net(sim, 0, g);
-  net.set_loss(0.9, util::RandomStream(1, "loss"));
+  net.set_faults(NetFaults{.drop = 0.9}, util::RandomStream(1, "loss"));
   int delivered = 0;
   for (int i = 0; i < 50; ++i) {
     net.send(0, 1, 1.0, [&] { ++delivered; });
@@ -60,7 +60,7 @@ TEST(NetworkLoss, DeterministicDropPattern) {
     sim::Simulator sim;
     const Graph g = pair_graph();
     Network net(sim, 0, g);
-    net.set_loss(0.5, util::RandomStream(7, "loss"));
+    net.set_faults(NetFaults{.drop = 0.5}, util::RandomStream(7, "loss"));
     std::vector<int> delivered_ids;
     for (int i = 0; i < 200; ++i) {
       net.send_unreliable(0, 1, 1.0,
@@ -76,11 +76,14 @@ TEST(NetworkLoss, RejectsBadProbability) {
   sim::Simulator sim;
   const Graph g = pair_graph();
   Network net(sim, 0, g);
-  EXPECT_THROW(net.set_loss(1.0, util::RandomStream(1, "x")),
-               std::invalid_argument);
-  EXPECT_THROW(net.set_loss(-0.5, util::RandomStream(1, "x")),
-               std::invalid_argument);
-  EXPECT_NO_THROW(net.set_loss(0.0, util::RandomStream(1, "x")));
+  EXPECT_THROW(
+      net.set_faults(NetFaults{.drop = 1.0}, util::RandomStream(1, "x")),
+      std::invalid_argument);
+  EXPECT_THROW(
+      net.set_faults(NetFaults{.drop = -0.5}, util::RandomStream(1, "x")),
+      std::invalid_argument);
+  EXPECT_NO_THROW(
+      net.set_faults(NetFaults{.drop = 0.0}, util::RandomStream(1, "x")));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::obs {
 namespace {
@@ -60,7 +60,7 @@ TEST(ProbeExport, SamplingCadenceTracksSimulatorClock) {
   Telemetry telemetry = probe_telemetry(interval);
   grid::GridConfig config = probed_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
 
   const auto& samples = telemetry.probe()->samples();
   // Ticks at 0, 50, ..., 250, plus the final row at the horizon.
@@ -83,7 +83,7 @@ TEST(ProbeExport, FinalRowEqualsResultScalarsExactly) {
   Telemetry telemetry = probe_telemetry(75.0);
   grid::GridConfig config = probed_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
 
   const ProbeSample& last = telemetry.probe()->samples().back();
   // Bit-exact equality, not near-equality: the final row is copied from
@@ -100,7 +100,7 @@ TEST(ProbeExport, CsvRoundTripsFinalRowDigits) {
   Telemetry telemetry = probe_telemetry(75.0);
   grid::GridConfig config = probed_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
 
   std::ostringstream os;
   telemetry.probe()->write_csv(os);

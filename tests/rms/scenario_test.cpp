@@ -20,15 +20,16 @@ grid::GridConfig small_config() {
   return config;
 }
 
-TEST(Scenario, RunMatchesFreeFunctionShim) {
+TEST(Scenario, RunMatchesHandWiredSystem) {
   grid::GridConfig config = small_config();
   config.rms = grid::RmsKind::kLowest;
   const grid::SimulationResult via_scenario = Scenario(config).run();
-  const grid::SimulationResult via_shim = rms::simulate(config);
-  EXPECT_EQ(via_scenario.events_dispatched, via_shim.events_dispatched);
-  EXPECT_DOUBLE_EQ(via_scenario.G(), via_shim.G());
-  EXPECT_DOUBLE_EQ(via_scenario.efficiency(), via_shim.efficiency());
-  EXPECT_EQ(via_scenario.jobs_completed, via_shim.jobs_completed);
+  const grid::SimulationResult via_system =
+      grid::GridSystem(config, rms::scheduler_factory(config.rms)).run();
+  EXPECT_EQ(via_scenario.events_dispatched, via_system.events_dispatched);
+  EXPECT_DOUBLE_EQ(via_scenario.G(), via_system.G());
+  EXPECT_DOUBLE_EQ(via_scenario.efficiency(), via_system.efficiency());
+  EXPECT_EQ(via_scenario.jobs_completed, via_system.jobs_completed);
 }
 
 TEST(Scenario, SettersLandInConfig) {

@@ -4,7 +4,7 @@
 
 #include "net/tree_cache.hpp"
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -41,9 +41,9 @@ TEST(SimulationSession, ReusesSystemAcrossTuningChanges) {
   retuned.tuning.neighborhood_size = 2;
 
   SimulationSession session;
-  expect_identical(session.run(base), simulate(base));
-  expect_identical(session.run(retuned), simulate(retuned));
-  expect_identical(session.run(base), simulate(base));
+  expect_identical(session.run(base), Scenario(base).run());
+  expect_identical(session.run(retuned), Scenario(retuned).run());
+  expect_identical(session.run(base), Scenario(base).run());
   // Three runs, one construction: the tuning-only changes were resets.
   EXPECT_EQ(session.rebuilds(), 1u);
 }
@@ -55,24 +55,24 @@ TEST(SimulationSession, RebuildsOnStructuralChange) {
 
   SimulationSession session;
   session.run(base);
-  expect_identical(session.run(bigger), simulate(bigger));
+  expect_identical(session.run(bigger), Scenario(bigger).run());
   EXPECT_EQ(session.rebuilds(), 2u);
   // And the bigger system is itself reusable from here on.
   grid::GridConfig bigger_tuned = bigger;
   bigger_tuned.tuning.link_delay_scale = 1.4;
-  expect_identical(session.run(bigger_tuned), simulate(bigger_tuned));
+  expect_identical(session.run(bigger_tuned), Scenario(bigger_tuned).run());
   EXPECT_EQ(session.rebuilds(), 2u);
 }
 
 TEST(SimulationSession, TreeSharingIsResultInvisible) {
   // Sessions opt their systems into the shared router-tree cache; the
-  // results must be bit-identical to the one-shot simulate() path, which
-  // builds without sharing.
+  // results must be bit-identical to the one-shot Scenario::run() path,
+  // which builds without sharing.
   net::SharedTreeCache::instance().clear();
   const grid::GridConfig config = small_config();
 
   SimulationSession sharing;
-  expect_identical(sharing.run(config), simulate(config));
+  expect_identical(sharing.run(config), Scenario(config).run());
   // The sharing session really published trees for others to adopt.
   EXPECT_GT(net::SharedTreeCache::instance().publishes(), 0u);
   net::SharedTreeCache::instance().clear();

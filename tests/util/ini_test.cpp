@@ -63,6 +63,12 @@ TEST(IniFile, TypeErrorsNameTheKey) {
 TEST(IniFile, RejectsTrailingJunkOnNumbers) {
   const IniFile ini = IniFile::parse("x = 12abc\n");
   EXPECT_THROW(ini.get_int("x", 0), std::runtime_error);
+  // A non-finite double is not a number either: an infinite horizon
+  // would run forever, a NaN one would abort mid-run.
+  for (const char* text : {"12abc", "nan", "inf", "-inf", "infinity"}) {
+    const IniFile d = IniFile::parse(std::string("x = ") + text + "\n");
+    EXPECT_THROW(d.get_double("x", 0.0), std::runtime_error) << text;
+  }
 }
 
 TEST(IniFile, ParseErrorsCarryLineNumbers) {
