@@ -59,6 +59,18 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
+/// One procedure.scale_factors cell: the whole cell must be a finite
+/// number (as IniFile::get_double reads a value) and strictly positive.
+double parse_scale_factor(const std::string& cell) {
+  const auto k = util::parse_finite(cell);
+  if (!k || !(*k > 0.0)) {
+    throw std::runtime_error(
+        "experiment config: procedure.scale_factors cell '" + cell +
+        "' is not a finite number > 0");
+  }
+  return *k;
+}
+
 /// The complete key vocabulary, used to reject typos.
 const std::set<std::string>& known_keys() {
   static const std::set<std::string> keys = {
@@ -155,7 +167,7 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   if (const auto factors = ini.get("procedure.scale_factors")) {
     p.scale_factors.clear();
     for (const std::string& cell : split_csv(*factors)) {
-      p.scale_factors.push_back(std::stod(cell));
+      p.scale_factors.push_back(parse_scale_factor(cell));
     }
     if (p.scale_factors.empty()) {
       throw std::runtime_error(

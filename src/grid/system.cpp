@@ -689,8 +689,9 @@ void GridSystem::schedule_arrivals() {
   workload_from_cache_ = pulled.from_cache;
   arrival_stats_ = workload::TraceStatsAccumulator{};
   // One tie-break position per possible arrival, reserved before the
-  // run starts its entities (the block is far larger than any stream).
-  arrival_order_ = sim_.reserve_order(std::uint64_t{1} << 62);
+  // run starts its entities.  The block is half of the event queue's
+  // 2^40 sequence numbers: 5.5e11 arrivals, far more than any stream.
+  arrival_order_ = sim_.reserve_order(std::uint64_t{1} << 39);
   schedule_next_arrival();
 }
 

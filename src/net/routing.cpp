@@ -1,22 +1,40 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <stdexcept>
 
 #include "net/tree_cache.hpp"
 
 namespace scal::net {
 
+TreeSnapshot::TreeSnapshot(std::size_t nodes, NodeId src)
+    : dist(nodes, kUnreached), via(nodes) {
+  frontier.resize_ids(nodes);
+  dist[src] = 0.0;
+  frontier.push(0.0, src);
+}
+
 void Router::ensure_slots() const {
-  const std::size_t n = graph_->node_count();
+  const std::size_t n = node_count();
   if (cache_.size() != n) cache_.resize(n);
   if (sharing_ && shared_.size() != n) shared_.resize(n);
+  if (arc_begin_.empty()) {
+    // First query: flatten the graph.  Deferred from construction so
+    // that building a system that never routes costs nothing here.
+    arc_begin_.reserve(n + 1);
+    arcs_.reserve(2 * graph_->edge_count());
+    arc_begin_.push_back(0);
+    for (NodeId u = 0; u < n; ++u) {
+      for (const Link& l : graph_->neighbors(u)) {
+        arcs_.push_back(Arc{l.latency, 1.0 / l.bandwidth, l.to});
+      }
+      arc_begin_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+    }
+  }
 }
 
 const TreeSnapshot* Router::adopted_for(NodeId src, NodeId dst) const {
-  if (src >= graph_->node_count()) {
+  if (src >= node_count()) {
     throw std::out_of_range("Router: source out of range");
   }
   if (cache_[src] != nullptr) return nullptr;  // owned state is deeper
@@ -27,88 +45,56 @@ const TreeSnapshot* Router::adopted_for(NodeId src, NodeId dst) const {
     ++adopted_;
   }
   const TreeSnapshot* snapshot = shared_[src].get();
-  if (snapshot->settled[dst] != 0 || snapshot->exhausted) return snapshot;
+  if (snapshot->answers(dst)) return snapshot;
   return nullptr;  // too shallow for dst: caller clones and extends
 }
 
-Router::SourceTree& Router::tree_for(NodeId src) const {
-  const std::size_t n = graph_->node_count();
-  if (src >= n) {
+TreeSnapshot& Router::tree_for(NodeId src) const {
+  if (src >= node_count()) {
     throw std::out_of_range("Router: source out of range");
   }
-  if (const auto& slot = cache_[src]) return *slot;
-
-  auto tree = std::make_unique<SourceTree>();
+  std::unique_ptr<TreeSnapshot>& slot = cache_[src];
+  if (slot != nullptr) return *slot;
   if (sharing_ && shared_[src] != nullptr) {
     // Copy-on-extend: resume from the adopted snapshot's frontier in a
     // private copy; the shared state is never mutated.
-    const TreeSnapshot& snapshot = *shared_[src];
-    tree->info = snapshot.info;
-    tree->predecessor = snapshot.predecessor;
-    tree->dist = snapshot.dist;
-    tree->settled = snapshot.settled;
-    tree->frontier = snapshot.frontier;
-    tree->exhausted = snapshot.exhausted;
-    tree->settled_count = snapshot.settled_count;
+    slot = std::make_unique<TreeSnapshot>(*shared_[src]);
     shared_[src] = nullptr;
     --adopted_;
   } else {
-    tree->info.assign(n, RouteInfo{});
-    tree->predecessor.assign(n, kInvalidNode);
-    tree->dist.assign(n, std::numeric_limits<double>::infinity());
-    tree->settled.assign(n, 0);
-    tree->dist[src] = 0.0;
-    tree->info[src].reachable = true;
-    tree->frontier.emplace_back(0.0, src);
+    slot = std::make_unique<TreeSnapshot>(node_count(), src);
   }
-
-  cache_[src] = std::move(tree);
   ++owned_;
-  return *cache_[src];
+  return *slot;
 }
 
-void Router::publish_snapshot(NodeId src, const SourceTree& tree) const {
-  auto snapshot = std::make_shared<TreeSnapshot>();
-  snapshot->info = tree.info;
-  snapshot->predecessor = tree.predecessor;
-  snapshot->dist = tree.dist;
-  snapshot->settled = tree.settled;
-  snapshot->frontier = tree.frontier;
-  snapshot->exhausted = tree.exhausted;
-  snapshot->settled_count = tree.settled_count;
-  SharedTreeCache::instance().publish(topology_key_, src,
-                                      std::move(snapshot));
-}
-
-void Router::settle(NodeId src, SourceTree& tree, NodeId dst) const {
-  if (tree.settled[dst] != 0 || tree.exhausted) return;
+void Router::settle(NodeId src, TreeSnapshot& tree, NodeId dst) const {
+  if (tree.answers(dst)) return;
   obs::PhaseProfiler::Scope scope(profiler_, route_phase_);
-  // Min-heap over the frontier vector; pop/push order is identical to
-  // the std::priority_queue this state used to live in.
-  auto& heap = tree.frontier;
-  const std::greater<> cmp;
+  TreeSnapshot::Frontier& frontier = tree.frontier;
   bool settled_dst = false;
-  while (!heap.empty()) {
-    const auto [d, u] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    heap.pop_back();
-    if (d > tree.dist[u]) continue;  // stale entry
-    tree.settled[u] = 1;
+  while (!frontier.empty()) {
+    const NodeId u = TreeSnapshot::Frontier::id_of(frontier.pop_min());
     ++tree.settled_count;
-    for (const Link& l : graph_->neighbors(u)) {
-      const double nd = d + l.latency;
+    const double du = tree.dist[u];
+    const double bu = tree.via[u].inv_bandwidth;
+    const std::uint32_t hops = tree.via[u].hops + 1;
+    const Arc* const end = arcs_.data() + arc_begin_[u + 1];
+    for (const Arc* arc = arcs_.data() + arc_begin_[u]; arc != end; ++arc) {
+      const NodeId v = arc->to;
+      const double nd = du + arc->latency;
       // Strict improvement keeps the tree deterministic given adjacency
-      // order (ties resolve to the first-relaxed predecessor).
-      if (nd < tree.dist[l.to]) {
-        tree.dist[l.to] = nd;
-        auto& info = tree.info[l.to];
-        info.reachable = true;
-        info.latency = tree.info[u].latency + l.latency;
-        info.inv_bandwidth = tree.info[u].inv_bandwidth + 1.0 / l.bandwidth;
-        info.hops = tree.info[u].hops + 1;
-        tree.predecessor[l.to] = u;
-        heap.emplace_back(nd, l.to);
-        std::push_heap(heap.begin(), heap.end(), cmp);
+      // order (ties resolve to the first-relaxed predecessor).  A
+      // settled node never improves: nd >= du >= its distance.
+      if (nd < tree.dist[v]) {
+        const bool queued = tree.reached(v);
+        tree.dist[v] = nd;
+        tree.via[v] = TreeSnapshot::Via{bu + arc->inv_bandwidth, hops, u};
+        if (queued) {
+          frontier.decrease(v, nd);
+        } else {
+          frontier.push(nd, v);
+        }
       }
     }
     if (u == dst) {
@@ -119,69 +105,45 @@ void Router::settle(NodeId src, SourceTree& tree, NodeId dst) const {
   if (!settled_dst) tree.exhausted = true;
   // Publish the deeper state so sibling routers adopt instead of
   // re-settling.  Per extension event (rare), not per query.
-  if (sharing_) publish_snapshot(src, tree);
+  if (sharing_) {
+    SharedTreeCache::instance().publish(
+        topology_key_, src, std::make_shared<const TreeSnapshot>(tree));
+  }
 }
 
-RouteInfo Router::route(NodeId src, NodeId dst) const {
-  if (dst >= graph_->node_count()) {
+const TreeSnapshot& Router::answering(NodeId src, NodeId dst) const {
+  if (dst >= node_count()) {
     throw std::out_of_range("Router: destination out of range");
   }
   ensure_slots();
   if (sharing_) {
     if (const TreeSnapshot* snapshot = adopted_for(src, dst)) {
-      return snapshot->info[dst];
+      return *snapshot;
     }
   }
-  SourceTree& tree = tree_for(src);
+  TreeSnapshot& tree = tree_for(src);
   settle(src, tree, dst);
-  return tree.info[dst];
+  return tree;
+}
+
+RouteInfo Router::route(NodeId src, NodeId dst) const {
+  return answering(src, dst).route(dst);
 }
 
 double Router::delay(NodeId src, NodeId dst, double size) const {
   if (src == dst) return 0.0;
-  if (dst >= graph_->node_count()) {
-    throw std::out_of_range("Router: destination out of range");
-  }
-  ensure_slots();
-  const RouteInfo* info = nullptr;
-  if (sharing_) {
-    if (const TreeSnapshot* snapshot = adopted_for(src, dst)) {
-      info = &snapshot->info[dst];
-    }
-  }
-  if (info == nullptr) {
-    SourceTree& tree = tree_for(src);
-    if (tree.settled[dst] == 0) settle(src, tree, dst);
-    info = &tree.info[dst];
-  }
-  if (!info->reachable) {
+  const TreeSnapshot& tree = answering(src, dst);
+  if (!tree.reached(dst)) {
     throw std::runtime_error("Router::delay: destination unreachable");
   }
-  return info->latency + size * info->inv_bandwidth;
+  return tree.dist[dst] + size * tree.via[dst].inv_bandwidth;
 }
 
 std::vector<NodeId> Router::path(NodeId src, NodeId dst) const {
-  if (dst >= graph_->node_count()) {
-    throw std::out_of_range("Router: destination out of range");
-  }
-  ensure_slots();
-  const std::vector<NodeId>* predecessor = nullptr;
-  const std::vector<RouteInfo>* info = nullptr;
-  if (sharing_) {
-    if (const TreeSnapshot* snapshot = adopted_for(src, dst)) {
-      predecessor = &snapshot->predecessor;
-      info = &snapshot->info;
-    }
-  }
-  if (predecessor == nullptr) {
-    SourceTree& tree = tree_for(src);
-    settle(src, tree, dst);
-    predecessor = &tree.predecessor;
-    info = &tree.info;
-  }
-  if (!(*info)[dst].reachable) return {};
+  const TreeSnapshot& tree = answering(src, dst);
+  if (!tree.reached(dst)) return {};
   std::vector<NodeId> p;
-  for (NodeId n = dst; n != kInvalidNode; n = (*predecessor)[n]) {
+  for (NodeId n = dst; n != kInvalidNode; n = tree.via[n].predecessor) {
     p.push_back(n);
     if (n == src) break;
   }

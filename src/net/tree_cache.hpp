@@ -8,9 +8,12 @@
 //
 // Entries are immutable TreeSnapshot values behind shared_ptr, so
 // concurrent readers never observe a mutating Dijkstra frontier.  A
-// router that needs to settle *further* than a snapshot reaches clones
-// the snapshot into a private tree and extends that copy (copy-on-
-// extend), publishing the deeper state back; publication is
+// TreeSnapshot is the same structure-of-arrays tree a Router extends
+// (distances, inverse bandwidths, hops, predecessors and the indexed
+// frontier heap), so publishing and adopting are plain copies of one
+// type.  A router that needs to settle *further* than a snapshot reaches
+// clones the snapshot into a private tree and extends that copy (copy-
+// on-extend), publishing the deeper state back; publication is
 // first-publish-wins with strictly-deeper upgrades, and every snapshot
 // agrees on its settled prefix (Dijkstra finalizes in global distance
 // order), so which snapshot a reader adopts can never change a route.

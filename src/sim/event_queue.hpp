@@ -5,14 +5,22 @@
 // deterministic function of the schedule order — the property the whole
 // scalability procedure's reproducibility rests on.
 //
-// Layout: an indexed binary min-heap of slot indices over a pooled,
-// free-listed event arena.  Event closures live in a small-buffer
-// callable inside the slot, so steady-state churn performs no per-event
-// allocation; each slot records its heap position, so cancel() removes
-// the event eagerly in O(log n) with no hash lookups.  An EventId packs
-// (generation << 32 | slot); the generation is bumped whenever a slot is
-// released, which makes stale handles (already fired or cancelled)
-// detectable in O(1).
+// Layout: a util::IndexedHeap (4-ary, 16-byte entries) of slot indices
+// over a pooled, free-listed event arena.  A heap entry is the event's
+// time bits plus one word packing (seq << 24 | slot), so the heap orders
+// by (time, seq) and never touches the arena while sifting; heap
+// positions live in the heap's own dense array.  Event closures live in
+// a small-buffer callable inside the slot, so steady-state churn
+// performs no per-event allocation, and cancel() removes the event
+// eagerly in O(log n) with no hash lookups.  pop() leaves the heap root
+// vacant (IndexedHeap::pop_min_vacant), so the successor an event
+// schedules is placed by one sift-down from the root.  An EventId packs (generation << 32 | slot); the generation
+// is bumped whenever a slot is released, which makes stale handles
+// (already fired or cancelled) detectable in O(1).
+//
+// Capacity: 2^40 insertion sequence numbers per run (reservations
+// included) and 2^24 arena slots; a push past either throws
+// std::length_error.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +28,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/indexed_heap.hpp"
 #include "util/inline_fn.hpp"
 
 namespace scal::sim {
@@ -53,6 +62,8 @@ class EventQueue {
   }
 
   /// Insert an event under a sequence number obtained from reserve().
+  /// Throws std::invalid_argument for a negative or NaN time and
+  /// std::length_error past the capacity above.
   EventId push(Time at, std::uint64_t seq, EventFn fn);
 
   /// Cancel a pending event, removing it from the heap immediately.
@@ -65,7 +76,7 @@ class EventQueue {
 
   Time next_time() const;
   /// next_time() without the emptiness check; precondition: !empty().
-  Time peek_time() const noexcept { return heap_.front().at; }
+  Time peek_time() const noexcept { return Heap::key_value(heap_.top().key); }
 
   /// Pop the earliest live event.  Precondition: !empty().
   struct Popped {
@@ -90,50 +101,28 @@ class EventQueue {
   std::size_t arena_size() const noexcept { return slots_.size(); }
 
  private:
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr unsigned kSeqBits = 64 - kSlotBits;
   static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
-
-  /// 4-ary heap: half the levels of a binary heap, and the children of
-  /// a node are contiguous, so the extra comparisons per level stay in
-  /// the same cache lines.  Pop-heavy discrete-event churn is dominated
-  /// by sift-down, which this favors.
-  static constexpr std::size_t kArity = 4;
+  using Heap = util::IndexedHeap<kSlotBits>;
 
   struct Slot {
     EventFn fn;
     std::uint32_t gen = 0;  // bumped on release; stale ids mismatch
-    // Position of this slot's entry in heap_ while live; while free,
-    // reused as the next-free link of the arena free list.
-    std::uint32_t heap_pos = 0;
-  };
-
-  /// The ordering keys live in the heap entries themselves, so sifting
-  /// touches only the contiguous heap array — never the (much larger)
-  /// slots — keeping the comparison path cache-resident.
-  struct HeapEntry {
-    Time at;
-    std::uint64_t seq;   // insertion sequence; breaks timestamp ties
-    std::uint32_t slot;  // arena index of the event's callable
+    std::uint32_t next_free = kNoFree;  // free-list link while released
   };
 
   static EventId make_id(std::uint32_t gen, std::uint32_t slot) noexcept {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  /// True if heap entry `a` fires before `b`.
-  static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
-
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  /// Remove the heap entry at `pos` (swap-with-last + re-sift).
-  void heap_erase(std::size_t pos);
+  /// A slot for a new event: the free-list head, or a new arena slot.
+  std::uint32_t acquire_slot();
   /// Return a slot to the free list and invalidate outstanding ids.
   void release_slot(std::uint32_t slot);
 
-  std::vector<HeapEntry> heap_;  // binary min-heap by (at, seq)
-  std::vector<Slot> slots_;      // pooled arena of callables
+  Heap heap_;                // min-heap by (at, seq); ids are slots
+  std::vector<Slot> slots_;  // pooled arena of callables
   std::uint32_t free_head_ = kNoFree;
   std::uint64_t next_seq_ = 0;
   std::uint64_t pushed_ = 0;

@@ -18,6 +18,17 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
+std::optional<double> parse_finite(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double parsed = std::stod(text, &pos);
+    if (pos != text.size() || !std::isfinite(parsed)) return std::nullopt;
+    return parsed;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 IniFile IniFile::parse(const std::string& text) {
   IniFile ini;
   std::istringstream in(text);
@@ -109,16 +120,8 @@ std::string IniFile::get_string(const std::string& key,
 double IniFile::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing junk");
-    if (!std::isfinite(parsed)) throw std::invalid_argument("not finite");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::runtime_error("IniFile: '" + key + "' is not a number: " +
-                             *v);
-  }
+  if (const auto parsed = parse_finite(*v)) return *parsed;
+  throw std::runtime_error("IniFile: '" + key + "' is not a number: " + *v);
 }
 
 std::int64_t IniFile::get_int(const std::string& key,

@@ -14,6 +14,10 @@
 
 namespace scal::util {
 
+/// The number `text` spells in full, or nullopt when it has trailing
+/// characters, does not parse, or is not finite (nan, inf, overflow).
+std::optional<double> parse_finite(const std::string& text);
+
 class IniFile {
  public:
   IniFile() = default;

@@ -77,6 +77,25 @@ TEST(ExperimentConfig, RejectsNonFiniteAndInvalidGridValues) {
       std::invalid_argument);
 }
 
+TEST(ExperimentConfig, RejectsBadScaleFactorCells) {
+  for (const char* cells : {"1, 2x", "nan", "1, inf", "0", "1, -1", "2 4",
+                            "1,,abc", "-0"}) {
+    const std::string text =
+        std::string("[procedure]\nscale_factors = ") + cells + "\n";
+    try {
+      experiment_from_ini(util::IniFile::parse(text));
+      ADD_FAILURE() << "accepted: " << cells;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("experiment config:"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const ExperimentConfig ok = experiment_from_ini(
+      util::IniFile::parse("[procedure]\nscale_factors = 0.5, 1e0, 3\n"));
+  EXPECT_EQ(ok.procedure.scale_factors, (std::vector<double>{0.5, 1.0, 3.0}));
+}
+
 TEST(ExperimentConfig, RejectsUnknownCaseAndTopologyAndRms) {
   EXPECT_THROW(experiment_from_ini(
                    util::IniFile::parse("[procedure]\ncase = case9\n")),

@@ -148,7 +148,7 @@ TEST_F(TreeCacheTest, AdoptedShallowSnapshotIsClonedAndExtended) {
   EXPECT_EQ(expect.reachable, got.reachable);
   EXPECT_EQ(expect.latency, got.latency);
   EXPECT_EQ(expect.hops, got.hops);
-  if (!snap->settled[far] && !snap->exhausted) {
+  if (!snap->settled(far) && !snap->exhausted) {
     // Clone-on-extend: the adopted slot became an owned tree.
     EXPECT_EQ(reader.owned_sources(), 1u);
     EXPECT_EQ(reader.shared_sources(), 0u);

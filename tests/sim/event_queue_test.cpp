@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace scal::sim {
@@ -267,6 +274,161 @@ TEST(EventQueue, ClearReleasesCallables) {
   EXPECT_FALSE(weak.expired());
   q.clear();
   EXPECT_TRUE(weak.expired());
+}
+
+TEST(EventQueue, RandomOpsMatchTimeSeqReference) {
+  // Differential check against a std::set ordered by (at, seq): pushes
+  // (plain and under reserved sequence numbers), pops, cancels of live
+  // and dead ids, clear(), and every observer after each step (after a
+  // pop the heap root is vacant).
+  using Order = std::pair<double, std::uint64_t>;
+  std::mt19937_64 rng(77);
+  EventQueue q;
+  std::set<Order> ref;
+  std::map<std::uint64_t, EventId> id_of_seq;  // pending events only
+  std::vector<EventId> dead;
+  std::uint64_t next_seq = 0;
+  std::vector<std::uint64_t> reserved;  // unused reserved numbers
+  double now = 0.0;
+  std::uint64_t fired_seq = 0;
+
+  auto check = [&] {
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    if (!ref.empty()) {
+      ASSERT_EQ(q.peek_time(), ref.begin()->first);
+      ASSERT_EQ(q.next_time(), ref.begin()->first);
+    }
+  };
+  auto push = [&](std::uint64_t seq, bool is_reserved) {
+    // Near-front, far, and exactly-now times, so ties are common.
+    const unsigned kind = rng() % 3;
+    const double at = kind == 0   ? now
+                      : kind == 1 ? now + 0.25 * double(rng() % 4)
+                                  : now + double(rng() % 50);
+    const auto body = [&fired_seq, seq] { fired_seq = seq; };
+    const EventId id = is_reserved ? q.push(at, seq, body) : q.push(at, body);
+    ref.insert({at, seq});
+    id_of_seq[seq] = id;
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const unsigned op = rng() % 20;
+    if (op < 7) {
+      push(next_seq++, false);
+    } else if (op < 8) {
+      const std::uint64_t first = q.reserve(3);
+      ASSERT_EQ(first, next_seq);
+      next_seq += 3;
+      for (std::uint64_t s = first; s < first + 3; ++s) reserved.push_back(s);
+    } else if (op < 10) {
+      if (reserved.empty()) continue;
+      const std::size_t i = rng() % reserved.size();
+      const std::uint64_t seq = reserved[i];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+      push(seq, true);
+    } else if (op < 16) {
+      if (ref.empty()) continue;
+      const Order expect = *ref.begin();
+      EventQueue::Popped popped = q.pop();
+      ASSERT_EQ(popped.at, expect.first);
+      ASSERT_EQ(popped.id, id_of_seq[expect.second]);
+      popped.fn();
+      ASSERT_EQ(fired_seq, expect.second);
+      now = popped.at;
+      ref.erase(ref.begin());
+      dead.push_back(popped.id);
+      id_of_seq.erase(expect.second);
+    } else if (op < 18) {
+      if (ref.empty()) continue;
+      auto it = ref.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng() % ref.size()));
+      const EventId id = id_of_seq[it->second];
+      ASSERT_TRUE(q.cancel(id));
+      id_of_seq.erase(it->second);
+      ref.erase(it);
+      dead.push_back(id);
+    } else if (op < 19) {
+      if (dead.empty()) continue;
+      ASSERT_FALSE(q.cancel(dead[rng() % dead.size()]));
+    } else if (rng() % 20 == 0) {
+      q.clear();
+      ref.clear();
+      for (const auto& [seq, id] : id_of_seq) dead.push_back(id);
+      id_of_seq.clear();
+      reserved.clear();
+      next_seq = 0;
+      now = 0.0;
+      ASSERT_EQ(q.reserve(0), 0u);
+    }
+    check();
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueue, ObserversWhileRootIsVacant) {
+  EventQueue q;
+  q.push(1.0, [] {});
+  q.push(4.0, [] {});
+  const EventId third = q.push(3.0, [] {});
+  q.push(2.0, [] {});
+  EXPECT_EQ(q.pop().at, 1.0);  // leaves the heap root vacant
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.peek_time(), 2.0);
+  EXPECT_EQ(q.next_time(), 2.0);
+  EXPECT_TRUE(q.cancel(third));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().at, 2.0);
+  EXPECT_EQ(q.pop().at, 4.0);
+  EXPECT_TRUE(q.empty());  // vacant root, nothing queued
+  EXPECT_THROW(q.next_time(), std::logic_error);
+  EXPECT_THROW(q.pop(), std::logic_error);
+  q.push(0.5, [] {});
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.peek_time(), 0.5);
+}
+
+TEST(EventQueue, NegativeZeroTimeFiresAsZeroInSequenceOrder) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.push(0.0, [&] { fired.push_back(0); });
+  q.push(-0.0, [&] { fired.push_back(1); });
+  q.push(0.0, [&] { fired.push_back(2); });
+  while (!q.empty()) {
+    EventQueue::Popped p = q.pop();
+    EXPECT_FALSE(std::signbit(p.at));
+    p.fn();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, RejectsNegativeAndNanTimes) {
+  EventQueue q;
+  EXPECT_THROW(q.push(-1.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.push(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.arena_size(), 0u);
+}
+
+TEST(EventQueue, SequenceNumbersPastPackingLimitThrow) {
+  // Heap entries pack (seq << 24 | slot) into one word, so sequence
+  // numbers stop at 2^40.  Reservations reach the limit without pushing
+  // that many events.
+  EventQueue q;
+  const std::uint64_t limit = std::uint64_t{1} << 40;
+  EXPECT_EQ(q.reserve(limit - 1), 0u);
+  q.push(1.0, [] {});  // seq 2^40 - 1: the last one that packs
+  EXPECT_THROW(q.push(2.0, [] {}), std::length_error);
+  EXPECT_THROW(q.push(2.0, limit, [] {}), std::length_error);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.arena_size(), 1u);  // no slot leaked by the failed pushes
+  q.push(3.0, limit - 2, [] {});  // a reserved number below the limit
+  EXPECT_EQ(q.pop().at, 1.0);
+  EXPECT_EQ(q.pop().at, 3.0);
+  q.clear();  // rewinds the sequence; pushes work again
+  q.push(1.0, [] {});
+  EXPECT_EQ(q.size(), 1u);
 }
 
 }  // namespace

@@ -71,6 +71,14 @@ TEST(IniFile, RejectsTrailingJunkOnNumbers) {
   }
 }
 
+TEST(ParseFinite, ReadsWholeFiniteNumbersOnly) {
+  EXPECT_EQ(scal::util::parse_finite("2.5"), 2.5);
+  EXPECT_EQ(scal::util::parse_finite("-1e3"), -1000.0);
+  for (const char* text : {"", "2x", "1 2", "nan", "inf", "-inf", "1e999"}) {
+    EXPECT_FALSE(scal::util::parse_finite(text).has_value()) << text;
+  }
+}
+
 TEST(IniFile, ParseErrorsCarryLineNumbers) {
   try {
     IniFile::parse("good = 1\nbad line without equals\n");
